@@ -2,7 +2,10 @@
 
 Runs each workhorse on identical inputs through both implementations
 and prints a small table.  The compiled twins are skipped when numba is
-not importable.  Usage: python3 benchmarks/bench_kernels.py [n] [reps]
+not importable.  The replication kernels run `reps` seeds per call,
+by default the experiments' chunk size on the active path
+(experiments._CHUNK), since much smaller chunks mostly time per-layer
+call overhead.  Usage: python3 benchmarks/bench_kernels.py [n] [reps]
 """
 
 import math
@@ -11,7 +14,7 @@ import time
 
 import numpy as np
 
-from kgqv import _kernels
+from kgqv import _kernels, experiments
 
 
 def best_of(fn, repeat=5):
@@ -83,7 +86,7 @@ def march_qv_pair(n, reps):
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 128
-    reps = int(sys.argv[2]) if len(sys.argv) > 2 else 64
+    reps = int(sys.argv[2]) if len(sys.argv) > 2 else experiments._CHUNK
     cases = [
         (f"normal fill {2 * n + 1}^2", *normal_fill_pair(n)),
         (f"march window n={n}", *march_window_pair(n)),

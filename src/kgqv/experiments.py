@@ -1,10 +1,15 @@
 """Experiment orchestration: configs, replication plans, reports.
 
 Every experiment is a pure function of its config.  Replications are
-keyed by seed = master_seed + replication index and run in fixed-size
-chunks; chunk results are concatenated in index order and reduced with
-numpy's pairwise summation, so emitted bytes do not depend on --jobs.
-Only the wall_time_s field of the summary is volatile.
+keyed by seed = master_seed + replication index, a 64-bit Philox key,
+and run in contiguous chunks of at most _CHUNK seeds.  One job takes
+whole _CHUNK chunks and a short tail; --jobs > 1 splits the seeds into
+a multiple of jobs chunks whose sizes differ by at most one, so every
+thread gets the same share.  Each replication's row does not depend on
+the chunk it sits in, and chunk results are concatenated in index
+order and reduced with numpy's pairwise summation, so emitted bytes do
+not depend on the plan or on --jobs.  Only the wall_time_s field of the
+summary is volatile.
 """
 
 from __future__ import annotations
@@ -38,13 +43,17 @@ EXPERIMENT_IDS = (
     "oracle_check",
 )
 
-# fixed replication chunk: memory bound for the vectorized path, work
-# unit for threads; results are chunk-size independent by construction.
+# largest replication chunk: memory bound for the vectorized path and
+# the largest work unit handed to a thread (see _chunk_sizes); results
+# are chunk-size independent by construction.
 # numpy path, n=256 linear_variance march on a 2-core Xeon: 128 to 384
 # seeds per chunk cost the same per replication within run-to-run noise,
 # 64 is ~15% slower (per-layer call overhead dominates), 512 and 1024
 # are 5-25% slower
 _CHUNK = 4096 if _kernels.USE_NUMBA else 256
+
+# seeds are 64-bit Philox keys; a larger one would alias a smaller one
+_SEED_LIMIT = 2**64
 
 # marching-scheme vs fixed-point-oracle sup-norm ceilings: measured
 # 0.0644 at n=8 and 0.0362 at n=16 over the five default seeds at
@@ -105,6 +114,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(cfg.reps >= 1, f"reps must be at least 1, got {cfg.reps}")
     _require(cfg.jobs >= 1, f"jobs must be at least 1, got {cfg.jobs}")
     _require(cfg.seed >= 0, f"seed must be nonnegative, got {cfg.seed}")
+    _require(cfg.seed < _SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
+    if cfg.reps is not None:
+        _require_seed_span(cfg.seed, cfg.reps)
     _resolve_params(cfg)  # raises UsageError on bad a/m/theta/diffusion
 
 
@@ -122,10 +134,34 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _require_seed_span(seed: int, count: int) -> None:
+    _require(
+        seed + count <= _SEED_LIMIT,
+        f"seed + replications must not exceed 2^64 (seeds are 64-bit keys), "
+        f"got seed {seed} with {count} replications",
+    )
+
+
+def _chunk_sizes(total: int, jobs: int) -> list[int]:
+    """Sizes of the contiguous seed chunks, in seed order.
+
+    One job: whole _CHUNK chunks and one short tail.  More jobs:
+    jobs * ceil(total / (_CHUNK * jobs)) chunks (one per seed if there
+    are fewer seeds than jobs) whose sizes differ by at most one and
+    never exceed _CHUNK.
+    """
+    if jobs <= 1:
+        return [min(_CHUNK, total - s) for s in range(0, total, _CHUNK)]
+    k = min(total, jobs * -(-total // (_CHUNK * jobs)))
+    q, r = divmod(total, k)
+    return [q + 1] * r + [q] * (k - r)
+
+
 def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
-    """worker(seeds) -> (len(seeds), k); chunked, order-preserving."""
+    """worker(seeds) -> (len(seeds), k); rows in seed order for any plan."""
+    _require_seed_span(master_seed, total)
     seeds = np.uint64(master_seed) + np.arange(total, dtype=np.uint64)
-    plans = [seeds[s : s + _CHUNK] for s in range(0, total, _CHUNK)]
+    plans = np.split(seeds, np.cumsum(_chunk_sizes(total, jobs))[:-1])
     if jobs <= 1 or len(plans) == 1:
         parts = [worker(p) for p in plans]
     else:
@@ -260,6 +296,7 @@ def _run_linear_variance(cfg: ExperimentConfig):
     _require(n >= 64, f"linear_variance needs n >= 64, got {n}")
     base = 100000 if cfg.reps is None else cfg.reps
     _require(base >= 500, f"linear_variance needs reps >= 500, got {base}")
+    _require_seed_span(cfg.seed, base)  # before the smaller levels run
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
     point = RotPoint(0.5, 0.5)
     rows = []
@@ -592,6 +629,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     params = _resolve_params(cfg)
     F = solver.coefficient_from_id(params.diffusion_id)
     n_seeds = 5 if cfg.reps is None else cfg.reps
+    _require_seed_span(cfg.seed, n_seeds)
     rows = []
     max_by_n = {}
     for n in (8, 16):
@@ -698,4 +736,10 @@ def summary_payload(report: ExperimentReport) -> dict:
 
 
 def summary_json(report: ExperimentReport) -> str:
-    return json.dumps(summary_payload(report), sort_keys=True, indent=2)
+    """Strict JSON: a non-finite number is a numeric failure, never NaN."""
+    try:
+        return json.dumps(
+            summary_payload(report), sort_keys=True, indent=2, allow_nan=False
+        )
+    except ValueError:
+        raise NumericError("summary holds a non-finite number") from None

@@ -50,6 +50,10 @@ class PhysParams:
     diffusion_id: str = "shifted_sine"
 
     def __post_init__(self):
+        for name in ("a", "m", "theta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.m < 0:
             raise UsageError(f"mass must be nonnegative, got {self.m}")
         if not self.theta > 0:

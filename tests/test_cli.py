@@ -92,6 +92,34 @@ class TestUsageErrors:
         assert rc == 2
         assert "not found" in err
 
+    # 2^64 would otherwise be masked to the key of seed 0, and 2^64 - 2
+    # with 3 reps would wrap its last seed to 0
+    @pytest.mark.parametrize("seed,reps", [(2**64, 1), (2**64 - 2, 3)])
+    def test_seeds_past_two_to_the_64_are_rejected_not_aliased(
+        self, seed, reps, tmp_path, capsys
+    ):
+        rc, out, err = run_main(
+            ["run", "--experiment", "oracle_check", "--reps", str(reps),
+             "--seed", str(seed), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "2^64" in err
+
+    @pytest.mark.parametrize("flag,value", [("--a", "nan"), ("--theta", "inf")])
+    def test_non_finite_parameter_is_a_usage_error(
+        self, flag, value, tmp_path, capsys
+    ):
+        rc, out, err = run_main(
+            ["run", "--experiment", "oracle_check", flag, value,
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestRuns:
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -197,6 +225,24 @@ class TestDeterminism:
             blobs.append(self.stripped(r.stdout))
         assert blobs[0] == blobs[2]
         assert blobs[1] == blobs[3]
+
+    def test_estimator_byte_identical_across_jobs(self, tmp_path, capsys):
+        # 100 reps fit in one chunk; jobs 2 and 3 still split them
+        blobs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"e{jobs}"
+            rc, stdout, _ = run_main(
+                ["run", "--experiment", "estimator_consistency", "--n", "128",
+                 "--reps", "100", "--seed", "11", "--jobs", jobs,
+                 "--out", str(out)],
+                capsys,
+            )
+            assert rc == 0
+            blobs.append(
+                ((out / "estimator_consistency.csv").read_bytes(),
+                 self.stripped(stdout))
+            )
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_vector_path_byte_identical_across_jobs(self, tmp_path):
         blobs = []

@@ -2,12 +2,13 @@
 report serialization.  Statistical verdicts live in test_acceptance."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from kgqv import experiments
-from kgqv.errors import UsageError
+from kgqv.errors import NumericError, UsageError
 from kgqv.experiments import ExperimentConfig, ExperimentReport
 
 
@@ -50,6 +51,32 @@ class TestConfigValidation:
     def test_negative_seed_rejected(self):
         cfg = ExperimentConfig(experiment="oracle_check", seed=-1)
         with pytest.raises(UsageError, match="seed"):
+            experiments.validate_config(cfg)
+
+    def test_seed_must_be_below_two_to_the_64(self):
+        cfg = ExperimentConfig(experiment="oracle_check", seed=2**64)
+        with pytest.raises(UsageError, match="seed"):
+            experiments.validate_config(cfg)
+
+    def test_seeds_may_not_run_past_two_to_the_64(self):
+        ok = ExperimentConfig(experiment="oracle_check", seed=2**64 - 5, reps=5)
+        experiments.validate_config(ok)
+        cfg = ExperimentConfig(experiment="oracle_check", seed=2**64 - 5, reps=6)
+        with pytest.raises(UsageError, match="2\\^64"):
+            experiments.validate_config(cfg)
+
+    def test_default_reps_may_not_run_past_two_to_the_64(self):
+        # reps resolved by the experiment itself are checked before any march
+        for exp in ("oracle_check", "linear_variance", "estimator_consistency"):
+            cfg = ExperimentConfig(experiment=exp, seed=2**64 - 2, n=128)
+            with pytest.raises(UsageError, match="2\\^64"):
+                experiments.run(cfg)
+
+    @pytest.mark.parametrize("field", ["a", "m", "theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        cfg = ExperimentConfig(experiment="oracle_check", **{field: value})
+        with pytest.raises(UsageError, match=f"{field} must be finite"):
             experiments.validate_config(cfg)
 
     def test_bad_diffusion_id_rejected(self):
@@ -101,6 +128,72 @@ class TestSeedRows:
         out = experiments._seed_rows(worker, 0, experiments._CHUNK + 3, jobs=2)
         assert np.array_equal(out.ravel(), np.arange(experiments._CHUNK + 3.0))
 
+    TOTALS = (1, 2, 199, 200, 256, 257, 600, 3 * experiments._CHUNK + 17)
+
+    @pytest.mark.parametrize("total", TOTALS)
+    @pytest.mark.parametrize("jobs", [2, 3, 4, 7])
+    def test_plan_is_balanced(self, total, jobs):
+        sizes = experiments._chunk_sizes(total, jobs)
+        assert sum(sizes) == total
+        assert min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= experiments._CHUNK
+        if total >= jobs:
+            assert len(sizes) % jobs == 0
+        else:
+            assert sizes == [1] * total
+
+    @pytest.mark.parametrize("total", TOTALS)
+    def test_one_job_keeps_whole_chunks_and_a_tail(self, total):
+        full, tail = divmod(total, experiments._CHUNK)
+        want = [experiments._CHUNK] * full + ([tail] if tail else [])
+        assert experiments._chunk_sizes(total, 1) == want
+
+    def test_two_jobs_split_the_default_estimator_reps(self):
+        # estimator_consistency's 200 default reps fit in one chunk, and
+        # still give both threads half of them
+        assert experiments._chunk_sizes(200, 2) == [100, 100]
+
+    @pytest.mark.parametrize("total", TOTALS)
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_rows_equal_serial_rows(self, total, jobs):
+        def rows(seeds):
+            return np.column_stack([seeds.astype(float), np.sqrt(seeds + 0.5)])
+
+        calls = []
+
+        def worker(seeds):
+            calls.append(len(seeds))
+            return rows(seeds)
+
+        serial = rows(11 + np.arange(total, dtype=np.uint64))
+        out = experiments._seed_rows(worker, 11, total, jobs)
+        assert out.tobytes() == serial.tobytes()
+        assert sorted(calls) == sorted(experiments._chunk_sizes(total, jobs))
+
+    def test_threads_share_the_chunks(self):
+        seen = set()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def worker(seeds):
+            seen.add(threading.get_ident())
+            barrier.wait()  # each of the two chunks needs its own thread
+            return seeds.astype(float)[:, None]
+
+        out = experiments._seed_rows(worker, 0, 200, jobs=2)
+        assert out.shape == (200, 1)
+        assert len(seen) == 2
+
+    def test_seed_span_may_end_at_two_to_the_64(self):
+        def worker(seeds):
+            return seeds[:, None]
+
+        top = 2**64 - 3
+        out = experiments._seed_rows(worker, top, 3, jobs=2)
+        assert out.ravel().tolist() == [top, top + 1, top + 2]
+        with pytest.raises(UsageError, match="2\\^64"):
+            experiments._seed_rows(worker, top, 4, jobs=2)
+
 
 class TestSerialization:
     def test_csv_layout(self, tmp_path):
@@ -130,6 +223,11 @@ class TestSerialization:
         assert list(payload) == sorted(payload)
         assert payload["passed"] is True
         assert payload["config"]["a"] is None
+
+    def test_summary_json_refuses_non_finite_numbers(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NumericError, match="non-finite"):
+                experiments.summary_json(report_stub(summary={"x": bad}))
 
     def test_oracle_thresholds_match_fixture(self):
         import pathlib

@@ -131,3 +131,24 @@ def test_march_qv_rows_do_not_depend_on_chunk_size():
     for r in range(SEEDS.shape[0]):
         alone = _kernels.march_qv(SEEDS[r : r + 1], *args)
         assert alone.tobytes() == together[r : r + 1].tobytes()
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
+    F = shifted_sine()
+    grid = RotatedGrid(16, i_max=9, j_max=7)
+    pts_i, pts_j = window_points(grid)
+
+    def rows(seeds):
+        return _kernels.march_points(
+            seeds, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
+            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j,
+            coupled=coupled, cell_i=2, cell_j=1,
+        )
+
+    together = rows(SEEDS)
+    for r in range(SEEDS.shape[0]):
+        alone = rows(SEEDS[r : r + 1])
+        assert alone.tobytes() == together[r : r + 1].tobytes()
+    pairs = np.concatenate([rows(SEEDS[:2]), rows(SEEDS[2:])])
+    assert pairs.tobytes() == together.tobytes()
