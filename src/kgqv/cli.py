@@ -110,9 +110,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args)
         report = run(cfg)
+        text = summary_json(report)  # a numeric failure writes no file
         os.makedirs(cfg.out, exist_ok=True)
         write_csv(report, os.path.join(cfg.out, f"{cfg.experiment}.csv"))
-        print(summary_json(report))
+        print(text)
         return 0 if report.passed else 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

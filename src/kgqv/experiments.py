@@ -2,13 +2,12 @@
 
 Every experiment is a pure function of its config.  Replications are
 keyed by seed = master_seed + replication index, a 64-bit Philox key,
-and run in contiguous chunks of at most _CHUNK seeds.  One job takes
-whole _CHUNK chunks and a short tail; --jobs > 1 splits the seeds into
-a multiple of jobs chunks whose sizes differ by at most one, so every
-thread gets the same share.  Each replication's row does not depend on
-the chunk it sits in, and chunk results are concatenated in index
-order and reduced with numpy's pairwise summation, so emitted bytes do
-not depend on the plan or on --jobs.  Only the wall_time_s field of the
+and run in contiguous chunks of at most _CHUNK seeds: a multiple of
+--jobs chunks whose sizes differ by at most one, so every thread gets
+the same share.  Each replication's row does not depend on the chunk
+it sits in, and chunk results are concatenated in index order and
+reduced with numpy's pairwise summation, so emitted bytes do not
+depend on the plan or on --jobs.  Only the wall_time_s field of the
 summary is volatile.
 """
 
@@ -115,8 +114,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.jobs >= 1, f"jobs must be at least 1, got {cfg.jobs}")
     _require(cfg.seed >= 0, f"seed must be nonnegative, got {cfg.seed}")
     _require(cfg.seed < _SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
-    if cfg.reps is not None:
-        _require_seed_span(cfg.seed, cfg.reps)
     _resolve_params(cfg)  # raises UsageError on bad a/m/theta/diffusion
 
 
@@ -145,13 +142,11 @@ def _require_seed_span(seed: int, count: int) -> None:
 def _chunk_sizes(total: int, jobs: int) -> list[int]:
     """Sizes of the contiguous seed chunks, in seed order.
 
-    One job: whole _CHUNK chunks and one short tail.  More jobs:
     jobs * ceil(total / (_CHUNK * jobs)) chunks (one per seed if there
     are fewer seeds than jobs) whose sizes differ by at most one and
-    never exceed _CHUNK.
+    never exceed _CHUNK.  One job gets ceil(total / _CHUNK) chunks, the
+    fewest kernel calls that keep every chunk within _CHUNK.
     """
-    if jobs <= 1:
-        return [min(_CHUNK, total - s) for s in range(0, total, _CHUNK)]
     k = min(total, jobs * -(-total // (_CHUNK * jobs)))
     q, r = divmod(total, k)
     return [q + 1] * r + [q] * (k - r)

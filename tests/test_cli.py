@@ -10,6 +10,7 @@ import pytest
 
 from kgqv import cli
 from kgqv.errors import NumericError
+from kgqv.experiments import ExperimentReport
 
 
 def run_main(args, capsys):
@@ -186,6 +187,26 @@ class TestRuns:
         assert rc == 3
         assert "non-finite" in err
 
+    def test_non_finite_summary_exits_three_and_writes_no_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nan_report(cfg):
+            return ExperimentReport(
+                experiment=cfg.experiment, columns=("n", "x"), rows=[(8, 0.5)],
+                summary={"x": float("nan")}, passed=True, seed=cfg.seed,
+                wall_time_s=0.0, version="0.1.0", config={},
+            )
+
+        monkeypatch.setattr(cli, "run", nan_report)
+        out = tmp_path / "out"
+        rc, stdout, err = run_main(
+            ["run", "--experiment", "oracle_check", "--out", str(out)], capsys
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert err.startswith("error:") and "non-finite" in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     BASE = [
@@ -200,18 +221,26 @@ class TestDeterminism:
         return d
 
     def test_byte_identical_across_jobs(self, tmp_path):
-        # enough replications to span several scheduler chunks
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"j{jobs}"
-            r = run_proc(
-                self.BASE + ["--reps", "9000", "--jobs", jobs, "--out", str(out)]
-            )
-            assert r.returncode == 0, r.stderr
-            outs.append((out / "linear_variance.csv").read_bytes())
-            outs.append(self.stripped(r.stdout))
-        assert outs[0] == outs[2]
-        assert outs[1] == outs[3]
+        # linear_variance's reps span several scheduler chunks;
+        # estimator_consistency's 100 fit in one that jobs 2 and 3 split
+        estimator = [
+            "run", "--experiment", "estimator_consistency", "--n", "128",
+            "--reps", "100", "--seed", "11",
+        ]
+        cases = [
+            ("linear_variance", self.BASE + ["--reps", "9000"], ("1", "2")),
+            ("estimator_consistency", estimator, ("1", "2", "3")),
+        ]
+        for exp, args, jobs_list in cases:
+            outs = []
+            for jobs in jobs_list:
+                out = tmp_path / f"{exp}-j{jobs}"
+                r = run_proc(args + ["--jobs", jobs, "--out", str(out)])
+                assert r.returncode == 0, r.stderr
+                outs.append(
+                    ((out / f"{exp}.csv").read_bytes(), self.stripped(r.stdout))
+                )
+            assert all(o == outs[0] for o in outs[1:]), exp
 
     def test_byte_identical_rerun(self, tmp_path):
         blobs = []
@@ -225,24 +254,6 @@ class TestDeterminism:
             blobs.append(self.stripped(r.stdout))
         assert blobs[0] == blobs[2]
         assert blobs[1] == blobs[3]
-
-    def test_estimator_byte_identical_across_jobs(self, tmp_path, capsys):
-        # 100 reps fit in one chunk; jobs 2 and 3 still split them
-        blobs = []
-        for jobs in ("1", "2", "3"):
-            out = tmp_path / f"e{jobs}"
-            rc, stdout, _ = run_main(
-                ["run", "--experiment", "estimator_consistency", "--n", "128",
-                 "--reps", "100", "--seed", "11", "--jobs", jobs,
-                 "--out", str(out)],
-                capsys,
-            )
-            assert rc == 0
-            blobs.append(
-                ((out / "estimator_consistency.csv").read_bytes(),
-                 self.stripped(stdout))
-            )
-        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_vector_path_byte_identical_across_jobs(self, tmp_path):
         blobs = []

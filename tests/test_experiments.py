@@ -58,17 +58,14 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="seed"):
             experiments.validate_config(cfg)
 
-    def test_seeds_may_not_run_past_two_to_the_64(self):
-        ok = ExperimentConfig(experiment="oracle_check", seed=2**64 - 5, reps=5)
-        experiments.validate_config(ok)
-        cfg = ExperimentConfig(experiment="oracle_check", seed=2**64 - 5, reps=6)
-        with pytest.raises(UsageError, match="2\\^64"):
-            experiments.validate_config(cfg)
-
-    def test_default_reps_may_not_run_past_two_to_the_64(self):
-        # reps resolved by the experiment itself are checked before any march
-        for exp in ("oracle_check", "linear_variance", "estimator_consistency"):
-            cfg = ExperimentConfig(experiment=exp, seed=2**64 - 2, n=128)
+    @pytest.mark.parametrize("reps", [None, 1000])
+    def test_seeds_may_not_run_past_two_to_the_64(self, reps):
+        # each experiment checks the span of the reps it resolves, from
+        # the config or its own default, before any march
+        for exp, n in [("oracle_check", None), ("linear_variance", 128),
+                       ("remainder_rate", 128), ("quadvar_rate", 256),
+                       ("estimator_consistency", 128)]:
+            cfg = ExperimentConfig(experiment=exp, seed=2**64 - 2, n=n, reps=reps)
             with pytest.raises(UsageError, match="2\\^64"):
                 experiments.run(cfg)
 
@@ -109,17 +106,25 @@ class TestConfigValidation:
 
 
 class TestSeedRows:
-    def test_chunking_and_jobs_do_not_change_rows(self):
-        def worker(seeds):
-            return np.column_stack([seeds.astype(float), seeds.astype(float) * 2])
+    TOTALS = (1, 2, 199, 200, 256, 257, 600, 3 * experiments._CHUNK + 17)
 
-        total = 3 * experiments._CHUNK + 17
-        serial = experiments._seed_rows(worker, 5, total, jobs=1)
-        threaded = experiments._seed_rows(worker, 5, total, jobs=3)
-        assert serial.shape == (total, 2)
-        assert np.array_equal(serial, threaded)
-        assert serial[0, 0] == 5.0
-        assert serial[-1, 0] == 5.0 + total - 1
+    def test_chunking_and_jobs_do_not_change_rows(self):
+        def rows(seeds):
+            return np.column_stack([seeds.astype(float), np.sqrt(seeds + 0.5)])
+
+        for total in self.TOTALS:
+            serial = rows(5 + np.arange(total, dtype=np.uint64))
+            for jobs in (1, 2, 3):
+                calls = []
+
+                def worker(seeds):
+                    calls.append(len(seeds))
+                    return rows(seeds)
+
+                out = experiments._seed_rows(worker, 5, total, jobs)
+                assert out.tobytes() == serial.tobytes(), (total, jobs)
+                plan = experiments._chunk_sizes(total, jobs)
+                assert sorted(calls) == sorted(plan), (total, jobs)
 
     def test_rows_are_seed_ordered(self):
         def worker(seeds):
@@ -128,48 +133,26 @@ class TestSeedRows:
         out = experiments._seed_rows(worker, 0, experiments._CHUNK + 3, jobs=2)
         assert np.array_equal(out.ravel(), np.arange(experiments._CHUNK + 3.0))
 
-    TOTALS = (1, 2, 199, 200, 256, 257, 600, 3 * experiments._CHUNK + 17)
-
     @pytest.mark.parametrize("total", TOTALS)
-    @pytest.mark.parametrize("jobs", [2, 3, 4, 7])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 7])
     def test_plan_is_balanced(self, total, jobs):
         sizes = experiments._chunk_sizes(total, jobs)
         assert sum(sizes) == total
         assert min(sizes) >= 1
         assert max(sizes) - min(sizes) <= 1
         assert max(sizes) <= experiments._CHUNK
-        if total >= jobs:
+        if jobs == 1:
+            # the fewest kernel calls with no chunk above _CHUNK
+            assert len(sizes) == -(-total // experiments._CHUNK)
+        elif total >= jobs:
             assert len(sizes) % jobs == 0
         else:
             assert sizes == [1] * total
-
-    @pytest.mark.parametrize("total", TOTALS)
-    def test_one_job_keeps_whole_chunks_and_a_tail(self, total):
-        full, tail = divmod(total, experiments._CHUNK)
-        want = [experiments._CHUNK] * full + ([tail] if tail else [])
-        assert experiments._chunk_sizes(total, 1) == want
 
     def test_two_jobs_split_the_default_estimator_reps(self):
         # estimator_consistency's 200 default reps fit in one chunk, and
         # still give both threads half of them
         assert experiments._chunk_sizes(200, 2) == [100, 100]
-
-    @pytest.mark.parametrize("total", TOTALS)
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_rows_equal_serial_rows(self, total, jobs):
-        def rows(seeds):
-            return np.column_stack([seeds.astype(float), np.sqrt(seeds + 0.5)])
-
-        calls = []
-
-        def worker(seeds):
-            calls.append(len(seeds))
-            return rows(seeds)
-
-        serial = rows(11 + np.arange(total, dtype=np.uint64))
-        out = experiments._seed_rows(worker, 11, total, jobs)
-        assert out.tobytes() == serial.tobytes()
-        assert sorted(calls) == sorted(experiments._chunk_sizes(total, jobs))
 
     def test_threads_share_the_chunks(self):
         seen = set()
