@@ -11,7 +11,6 @@ quadratic-variation limit, and a plug-in estimator of theta.
 from .analysis import (
     IncrementL2,
     QuadVarReport,
-    RemainderSample,
     SlopeFit,
     estimate_theta,
     fit_loglog,
@@ -69,7 +68,6 @@ __all__ = [
     "estimate_theta",
     "linear_increment_l2",
     "fit_loglog",
-    "RemainderSample",
     "QuadVarReport",
     "SlopeFit",
     "IncrementL2",

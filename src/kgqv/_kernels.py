@@ -1,41 +1,29 @@
 """Counter-based Gaussian lattice noise and anti-diagonal marching kernels.
 
-Every hot routine exists twice: a numba-compiled cellwise loop and a
-pure-numpy version vectorized along anti-diagonal layers.  The active
-path is chosen once at import time: numba when importable, unless
-KGQV_NUMBA=0 forces numpy.  Both paths consume identical Philox blocks,
-so they agree to trig/log library round-off; within one path results
-are bit-reproducible regardless of chunking or thread schedule.
+One vectorized numpy path: every march advances a whole anti-diagonal
+layer at a time through one cell step, _step_np.  Results are
+bit-reproducible regardless of window shape, chunking or thread
+schedule, and every result leaves the module only when it is finite.
 
 Noise convention: the standard normal attached to lattice index (i, j)
 and stream `kind` comes from the Philox4x32-10 block with counter
 ((i + j) + 2^31, (i >> 1) + 2^31, kind, 0) and key (seed_lo, seed_hi);
 the block's two Box-Muller outputs are split by the parity of i.  The
 value is a pure function of (seed, i, j, kind).  Keying by
-(anti-diagonal, i >> 1) lets the marching loops, which consume the
+(anti-diagonal, i >> 1) lets the replication kernels, which consume the
 cells of one anti-diagonal in increasing i, use both outputs of almost
-every block instead of discarding the second: the numba kernels pair
-cells as they go, the numpy kernels draw a whole layer for a chunk of
-replications through _LayerNoise.  Only the grid fills behind
-lattice_normals and triangle_normals spend one block per value.
+every block instead of discarding the second: they draw a whole layer
+for a chunk of replications through _LayerNoise.  Only the grid fills
+behind lattice_normals and triangle_normals spend one block per value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("KGQV_NUMBA", "1") != "0"
+from .errors import NumericError, UsageError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,68 +47,45 @@ _TWO_PI = 2.0 * math.pi
 _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
 _NO_CELL = 1 << 40  # sentinel index: never matches a marched layer
-
-
-def active_path() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _nb(func):
-    if HAS_NUMBA:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
+_SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
 
 
 def _split_seed(seed):
-    s = int(seed) & 0xFFFFFFFFFFFFFFFF
+    s = int(seed)
+    if not 0 <= s < _SEED_LIMIT:
+        raise UsageError(f"seed must lie in [0, 2^64), got {s}")
     return np.uint64(s & 0xFFFFFFFF), np.uint64(s >> 32)
 
 
-@_nb
-def _philox_block(c0, c1, c2, c3, k0, k1):
-    # ten rounds of the 4x32 bijection; args are uint64 holding u32 values
-    for _ in range(10):
-        p0 = _PM0 * c0
-        p1 = _PM1 * c2
-        hi0 = p0 >> _SH32
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> _SH32
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = (k0 + _PW0) & _MASK32
-        k1 = (k1 + _PW1) & _MASK32
-    return c0, c1, c2, c3
+def _seed_array(seeds):
+    """Seeds as contiguous uint64 keys; nothing outside [0, 2^64) is cast."""
+    # a list goes in as objects: numpy would turn a mix of large and small
+    # Python ints into float64
+    arr = seeds if isinstance(seeds, np.ndarray) else np.array(seeds, dtype=object)
+    kind = arr.dtype.kind
+    if kind in "iu" or (kind == "O" and all(isinstance(s, (int, np.integer)) for s in arr.flat)):
+        if arr.size == 0 or (arr.min() >= 0 and arr.max() < _SEED_LIMIT):
+            return np.ascontiguousarray(arr, dtype=np.uint64)
+    raise UsageError("seeds must be integers in [0, 2^64)")
 
 
-@_nb
-def _philox_pair(sigma, q, kind, k0, k1):
-    """Two coupled standard normals for anti-diagonal `sigma`, slot `q`."""
-    c0 = np.uint64((sigma + _IOFF) & _IMASK)
-    c1 = np.uint64((q + _IOFF) & _IMASK)
-    c2 = np.uint64(kind)
-    c3 = np.uint64(0)
-    r0, r1, r2, r3 = _philox_block(c0, c1, c2, c3, k0, k1)
-    hi = (r0 << _SH32) | r1
-    lo = (r2 << _SH32) | r3
-    u1 = ((hi >> _SH11) + _ONE) * _INV53  # in (0, 1], log-safe
-    u2 = (lo >> _SH11) * _INV53
-    rad = math.sqrt(-2.0 * math.log(u1))
-    ang = _TWO_PI * u2
-    return rad * math.cos(ang), rad * math.sin(ang)
+# a march that overflows raises NumericError on its result, not warnings
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-@_nb
-def _gauss_at(i, j, kind, k0, k1):
-    zc, zs = _philox_pair(i + j, i >> 1, kind, k0, k1)
-    if (i & 1) == 0:
-        return zc
-    return zs
+def _finite(*arrays):
+    """Let marched results leave the module only when every value is finite."""
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise NumericError("marched field is not finite: the solution blew up")
 
 
-@_nb
+def _rates(eps, a, m, theta):
+    """Cell decay beta, noise weight theta/2 and drift weight b eps^2/2."""
+    beta = math.exp(-a * eps / (2.0 * _SQRT2))
+    return beta, 0.5 * theta, 0.5 * (0.25 * a * a - m * m) * eps * eps
+
+
 def _f_eval(fid, p0, p1, x):
     if fid == FID_CONSTANT_ONE:
         return 1.0
@@ -151,24 +116,8 @@ def _f_eval_np(fid, p0, p1, x):
 # noise fills
 
 
-@_nb
-def _fill_normals_nb(out, i0, j0, kind, k0, k1):
-    rows, cols = out.shape
-    for r in range(rows):
-        i = i0 + r
-        for c in range(cols):
-            out[r, c] = _gauss_at(i, j0 + c, kind, k0, k1)
-
-
-@_nb
-def _fill_tris_nb(out, i0, k0, k1):
-    for k in range(out.shape[0]):
-        i = i0 + k
-        out[k] = _gauss_at(i, 1 - i, 1, k0, k1)
-
-
 def _philox_rounds_np(c0, c1, c2, c3, k0, k1):
-    # array clone of _philox_block; the scalar twin stays numba-friendly
+    # ten rounds of the 4x32 bijection on arrays of u32 values in uint64
     for _ in range(10):
         p0 = _PM0 * c0
         p1 = _PM1 * c2
@@ -186,11 +135,11 @@ def _philox_rounds_np(c0, c1, c2, c3, k0, k1):
 
 
 def _normals_np(i_arr, j_arr, kind, k0, k1):
-    """Elementwise twin of _gauss_at over broadcastable int64 index arrays.
+    """Normals for broadcastable int64 index arrays, one block per entry.
 
     Evaluates the full block per entry and keeps the parity branch, so
     grid fills pay double Philox work; the marching kernels draw one
-    block per pair instead (_LayerNoise on this path).
+    block per pair instead (_LayerNoise).
     """
     i64 = np.asarray(i_arr, dtype=np.int64)
     j64 = np.asarray(j_arr, dtype=np.int64)
@@ -201,7 +150,7 @@ def _normals_np(i_arr, j_arr, kind, k0, k1):
     r0, r1, r2, r3 = _philox_rounds_np(c0, c1, c2, c3, k0, k1)
     hi = (r0 << _SH32) | r1
     lo = (r2 << _SH32) | r3
-    u1 = ((hi >> _SH11) + _ONE) * _INV53
+    u1 = ((hi >> _SH11) + _ONE) * _INV53  # in (0, 1], log-safe
     u2 = (lo >> _SH11) * _INV53
     rad = np.sqrt(-2.0 * np.log(u1))
     ang = _TWO_PI * u2
@@ -211,10 +160,6 @@ def _normals_np(i_arr, j_arr, kind, k0, k1):
 def lattice_normals(i0, j0, shape, kind, seed):
     """Standard normals for lattice indices (i0+r, j0+c), any rectangle."""
     k0, k1 = _split_seed(seed)
-    if USE_NUMBA:
-        out = np.empty(shape)
-        _fill_normals_nb(out, i0, j0, kind, k0, k1)
-        return out
     ii = i0 + np.arange(shape[0], dtype=np.int64)[:, None]
     jj = j0 + np.arange(shape[1], dtype=np.int64)[None, :]
     return _normals_np(ii, jj, kind, k0, k1)
@@ -223,165 +168,12 @@ def lattice_normals(i0, j0, shape, kind, seed):
 def triangle_normals(i0, count, seed):
     """Standard normals for the layer-1 points (i0+k, 1-(i0+k))."""
     k0, k1 = _split_seed(seed)
-    if USE_NUMBA:
-        out = np.empty(count)
-        _fill_tris_nb(out, i0, k0, k1)
-        return out
     ii = i0 + np.arange(count, dtype=np.int64)
     return _normals_np(ii, 1 - ii, 1, k0, k1)
 
 
-# ---------------------------------------------------------------------------
-# marching over stored noise arrays (full window out)
-
-
-@_nb
-def _march_window_nb(cells, tris, beta, beta2, th2, seed_coef, fid, p0, p1, drh):
-    L = cells.shape[0]
-    field = np.zeros((L, L))
-    for k in range(L - 1):
-        field[1 + k, L - 1 - k] = seed_coef * tris[k]
-    for s in range(2, L):
-        for k in range(L - s):
-            ii = s + k
-            jj = L - 1 - k
-            bot = field[ii - 1, jj - 1]
-            field[ii, jj] = (
-                beta * (field[ii - 1, jj] + field[ii, jj - 1])
-                - beta2 * bot
-                + th2 * _f_eval(fid, p0, p1, bot) * cells[ii - 1, jj - 1]
-                + drh * bot
-            )
-    return field
-
-
-def _march_window_np(cells, tris, beta, beta2, th2, seed_coef, fid, p0, p1, drh):
-    L = cells.shape[0]
-    field = np.zeros((L, L))
-    ks = np.arange(L - 1)
-    field[1 + ks, L - 1 - ks] = seed_coef * tris
-    for s in range(2, L):
-        k = np.arange(L - s)
-        ii = s + k
-        jj = L - 1 - k
-        bot = field[ii - 1, jj - 1]
-        field[ii, jj] = (
-            beta * (field[ii - 1, jj] + field[ii, jj - 1])
-            - beta2 * bot
-            + th2 * _f_eval_np(fid, p0, p1, bot) * cells[ii - 1, jj - 1]
-            + drh * bot
-        )
-    return field
-
-
-def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
-    """March one field over a stored noise realization; returns L x L.
-
-    `cells` and `tris` hold actual increments (already scaled); entry
-    [ii, jj] corresponds to lattice (i_min+ii, j_min+jj), row-major, with
-    values below the initial anti-diagonal left at zero.
-    """
-    beta = math.exp(-a * eps / (2.0 * _SQRT2))
-    th2 = 0.5 * theta
-    drh = 0.5 * (0.25 * a * a - m * m) * eps * eps
-    args = (cells, tris, beta, beta * beta, th2, th2 * f0, fid, p0, p1, drh)
-    if USE_NUMBA:
-        return _march_window_nb(*args)
-    return _march_window_np(*args)
-
-
-# ---------------------------------------------------------------------------
-# batched marching with in-kernel noise (replication workhorses)
-
-
-@_nb
-def _march_points_nb(
-    seeds, L, i_min, eps, beta, beta2, th2, fid, p0, p1, drh,
-    s1, s2, coupled, pts_i, pts_j, cell_i, cell_j,
-):
-    R = seeds.shape[0]
-    K = pts_i.shape[0]
-    out = np.zeros((R, 2 * K + 1))
-    cell_s = cell_i + cell_j + 2
-    cell_k = -i_min - (cell_j + 1)
-    B = np.zeros(L + 1)
-    A = np.zeros(L + 1)
-    X = np.zeros(L + 1)
-    B2 = np.zeros(L + 1)
-    A2 = np.zeros(L + 1)
-    X2 = np.zeros(L + 1)
-    for r in range(R):
-        sd = seeds[r]
-        k0 = sd & _MASK32
-        k1 = sd >> _SH32
-        # layer 0 lives in B and must be zero; every later read stays
-        # inside the prefix written for its layer, so no other reset
-        B[:] = 0.0
-        B2[:] = 0.0
-        for k in range(L - 1):
-            i = i_min + 1 + k
-            z = _gauss_at(i, 1 - i, 1, k0, k1)
-            A[k] = s1 * z
-            if coupled:
-                A2[k] = s2 * z
-        for t in range(K):
-            if pts_i[t] + pts_j[t] == 1:
-                kt = -i_min - pts_j[t]
-                out[r, t] = A[kt]
-                if coupled:
-                    out[r, K + t] = A2[kt]
-        for s in range(2, L):
-            sig = s - 2
-            ic0 = i_min + s - 1
-            qc = -(1 << 60)
-            zc = 0.0
-            zs = 0.0
-            for k in range(L - s):
-                i_c = ic0 + k
-                q = i_c >> 1
-                if q != qc:
-                    zc, zs = _philox_pair(sig, q, 0, k0, k1)
-                    qc = q
-                if (i_c & 1) == 0:
-                    dw = eps * zc
-                else:
-                    dw = eps * zs
-                bot = B[k + 1]
-                X[k] = (
-                    beta * (A[k] + A[k + 1])
-                    - beta2 * bot
-                    + th2 * _f_eval(fid, p0, p1, bot) * dw
-                    + drh * bot
-                )
-                if coupled:
-                    bot2 = B2[k + 1]
-                    X2[k] = (
-                        beta * (A2[k] + A2[k + 1])
-                        - beta2 * bot2
-                        + 0.5 * dw
-                        + drh * bot2
-                    )
-                if s == cell_s and k == cell_k:
-                    out[r, 2 * K] = dw
-            for t in range(K):
-                if pts_i[t] + pts_j[t] == s:
-                    kt = -i_min - pts_j[t]
-                    out[r, t] = X[kt]
-                    if coupled:
-                        out[r, K + t] = X2[kt]
-            tmp = B
-            B = A
-            A = X
-            X = tmp
-            tmp = B2
-            B2 = A2
-            A2 = X2
-            X2 = tmp
-    return out
-
-
 class _LayerNoise:
-    """Whole anti-diagonals of normals for a chunk of replications (numpy).
+    """Whole anti-diagonals of normals for a chunk of replications.
 
     Arrays are laid out (slot, replication).  One Philox block per
     (sigma, i >> 1) pair serves both cells of the pair: rad*cos fills
@@ -485,10 +277,14 @@ class _LayerNoise:
 
 
 def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
-    """X[:c] = beta*(A[k] + A[k+1]) - beta2*bot + drive + drh*bot, in place.
+    """X[:c] = beta*(A[k]+A[k+1]) - beta2*bot + drive (+ drh*bot), in place.
 
-    Rows are slots k of a layer; bot = B[k+1].  The operations and their
-    grouping are the scalar kernels', so results agree bit for bit.
+    The one cell update of every march.  Rows are slots k of a layer
+    and bot = B[k+1]; the arrays are (slot, replication) blocks or
+    strided anti-diagonal views of a window.  drh=None leaves out the
+    own-bottom reaction term (the split parts v_L and v_C have none)
+    rather than adding 0*bot, which would turn -0.0 into +0.0 and an
+    infinity into nan.
     """
     x = X[:c]
     t = tmp[:c]
@@ -498,14 +294,94 @@ def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     np.multiply(bot, beta2, out=t)
     x -= t
     x += drive
-    np.multiply(bot, drh, out=t)
-    x += t
+    if drh is not None:
+        np.multiply(bot, drh, out=t)
+        x += t
 
 
-def _march_points_np(
-    seeds, L, i_min, eps, beta, beta2, th2, fid, p0, p1, drh,
-    s1, s2, coupled, pts_i, pts_j, cell_i, cell_j,
+# ---------------------------------------------------------------------------
+# marching over stored noise arrays (full window out)
+
+
+def _diagonals(a):
+    """Anti-diagonal views of an L x L array: layer s holds a[s+k, L-1-k], k < L-s."""
+    L = a.shape[0]
+    flat = a.reshape(-1)
+    return [flat[s * L + L - 1 :: L - 1][: L - s] for s in range(L)]
+
+
+@_quiet
+def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
+    """[v] marched over stored increments, or [v, v_L, v_C] with `split`.
+
+    v_C takes v's noise drive th2*F(v(bottom))*dW and v_L the drift
+    drive (1/2)(b v(bottom)) eps^2; neither has an own-bottom term, so
+    v_L + v_C reproduces v to round-off.
+    """
+    L = cells.shape[0]
+    beta, th2, drh = _rates(eps, a, m, theta)
+    beta2 = beta * beta
+    bcoef = 0.25 * a * a - m * m
+    fields = [np.zeros((L, L)) for _ in range(3 if split else 1)]
+    v, *parts = (_diagonals(f) for f in fields)
+    dws = _diagonals(cells)
+    np.multiply(th2 * f0, tris, out=v[1])
+    if split:
+        v_l, v_c = parts
+        v_c[1][:] = v[1]
+    drive, drift, tmp = (np.empty(L) for _ in range(3))
+    for s in range(2, L):
+        c = L - s
+        bot = v[s - 2][1 : c + 1]
+        d = drive[:c]
+        np.multiply(_f_eval_np(fid, p0, p1, bot), th2, out=d)
+        d *= dws[s - 2][1 : c + 1]
+        if split:
+            b = drift[:c]
+            np.multiply(bot, bcoef, out=b)
+            b *= 0.5
+            b *= eps
+            b *= eps
+            _step_np(v_l[s], v_l[s - 1], v_l[s - 2], c, b, beta, beta2, None, tmp)
+            _step_np(v_c[s], v_c[s - 1], v_c[s - 2], c, d, beta, beta2, None, tmp)
+        _step_np(v[s], v[s - 1], v[s - 2], c, d, beta, beta2, drh, tmp)
+    _finite(*fields)
+    return fields
+
+
+def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
+    """March one field over a stored noise realization; returns L x L.
+
+    `cells` and `tris` hold actual increments (already scaled); entry
+    [ii, jj] corresponds to lattice (i_min+ii, j_min+jj), row-major, with
+    values below the initial anti-diagonal left at zero.
+    """
+    return _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0)[0]
+
+
+# ---------------------------------------------------------------------------
+# batched marching with in-kernel noise (replication workhorses)
+
+
+@_quiet
+def march_points(
+    seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
+    pts_i, pts_j, coupled=False, cell_i=_NO_CELL, cell_j=_NO_CELL,
 ):
+    """March one replication per seed, keeping only requested values.
+
+    Returns an (R, 2K+1) array: columns 0..K-1 hold the marched field at
+    the K lattice points, columns K..2K-1 the coupled linear field
+    (F ident 1, theta 1, same noise) when `coupled`, else zeros, and the
+    last column the raw cell increment at (cell_i, cell_j) when given.
+    Memory is O(L) per replication; chunk the seeds upstream.
+    """
+    seeds = _seed_array(seeds)
+    pts_i = np.ascontiguousarray(pts_i, dtype=np.int64)
+    pts_j = np.ascontiguousarray(pts_j, dtype=np.int64)
+    beta, th2, drh = _rates(eps, a, m, theta)
+    beta2 = beta * beta
+    tri = eps / _SQRT2
     # layer arrays are (slot k, replication), so every slice is contiguous
     R = seeds.shape[0]
     K = pts_i.shape[0]
@@ -516,9 +392,9 @@ def _march_points_np(
     B, A, X, B2, A2, X2 = (np.zeros((L + 1, R)) for _ in range(6))
     dw_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
     z1 = noise.draw(1, i_min + 1, L - 1, 1)
-    A[: L - 1] = s1 * z1
+    A[: L - 1] = th2 * f0 * tri * z1
     if coupled:
-        A2[: L - 1] = s2 * z1
+        A2[: L - 1] = 0.5 * tri * z1
     for t in range(K):
         if pts_i[t] + pts_j[t] == 1:
             kt = -i_min - pts_j[t]
@@ -546,96 +422,27 @@ def _march_points_np(
                     out[:, K + t] = X2[kt]
         B, A, X = A, X, B
         B2, A2, X2 = A2, X2, B2
+    _finite(out)
     return out
 
 
-def march_points(
-    seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
-    pts_i, pts_j, coupled=False, cell_i=_NO_CELL, cell_j=_NO_CELL,
-):
-    """March one replication per seed, keeping only requested values.
+@_quiet
+def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
+    """Quadratic-variation pass: march on the [0,N]^2 dependency window.
 
-    Returns an (R, 2K+1) array: columns 0..K-1 hold the marched field at
-    the K lattice points, columns K..2K-1 the coupled linear field
-    (F ident 1, theta 1, same noise) when `coupled`, else zeros, and the
-    last column the raw cell increment at (cell_i, cell_j) when given.
-    Memory is O(L) per replication; chunk the seeds upstream.
+    Returns (R, 2): column 0 the sum of squared raw double increments
+    over cells with bottom vertex in [0,N)^2, column 1 the matching sum
+    of F^2 at the bottom vertices.  Cells are taken anti-diagonal by
+    anti-diagonal in marching order, in increasing i within one: the
+    cells of one anti-diagonal are added one by one into a partial sum,
+    which is then added to the running total, whatever the chunk of
+    seeds.
     """
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    pts_i = np.ascontiguousarray(pts_i, dtype=np.int64)
-    pts_j = np.ascontiguousarray(pts_j, dtype=np.int64)
-    beta = math.exp(-a * eps / (2.0 * _SQRT2))
-    th2 = 0.5 * theta
-    drh = 0.5 * (0.25 * a * a - m * m) * eps * eps
-    tri = eps / _SQRT2
-    args = (
-        seeds, L, i_min, eps, beta, beta * beta, th2, fid, p0, p1, drh,
-        th2 * f0 * tri, 0.5 * tri, coupled, pts_i, pts_j, cell_i, cell_j,
-    )
-    if USE_NUMBA:
-        return _march_points_nb(*args)
-    return _march_points_np(*args)
-
-
-@_nb
-def _march_qv_nb(seeds, N, eps, beta, beta2, th2, fid, p0, p1, drh, s1):
-    L = 2 * N + 1
-    i_min = -N
-    R = seeds.shape[0]
-    out = np.zeros((R, 2))
-    B = np.zeros(L + 1)
-    A = np.zeros(L + 1)
-    X = np.zeros(L + 1)
-    for r in range(R):
-        sd = seeds[r]
-        k0 = sd & _MASK32
-        k1 = sd >> _SH32
-        B[:] = 0.0
-        for k in range(L - 1):
-            i = i_min + 1 + k
-            A[k] = s1 * _gauss_at(i, 1 - i, 1, k0, k1)
-        qn = 0.0
-        sf = 0.0
-        for s in range(2, L):
-            sig = s - 2
-            ic0 = i_min + s - 1
-            qc = -(1 << 60)
-            zc = 0.0
-            zs = 0.0
-            for k in range(L - s):
-                i_c = ic0 + k
-                q = i_c >> 1
-                if q != qc:
-                    zc, zs = _philox_pair(sig, q, 0, k0, k1)
-                    qc = q
-                if (i_c & 1) == 0:
-                    dw = eps * zc
-                else:
-                    dw = eps * zs
-                bot = B[k + 1]
-                X[k] = (
-                    beta * (A[k] + A[k + 1])
-                    - beta2 * bot
-                    + th2 * _f_eval(fid, p0, p1, bot) * dw
-                    + drh * bot
-                )
-                j_c = N - 1 - k
-                if 0 <= i_c < N and 0 <= j_c < N:
-                    dd = X[k] - A[k] - A[k + 1] + bot
-                    qn += dd * dd
-                    fb = _f_eval(fid, p0, p1, bot)
-                    sf += fb * fb
-            tmp = B
-            B = A
-            A = X
-            X = tmp
-        out[r, 0] = qn
-        out[r, 1] = sf
-    return out
-
-
-def _march_qv_np(seeds, N, eps, beta, beta2, th2, fid, p0, p1, drh, s1):
-    # layer arrays are (slot k, replication), as in _march_points_np
+    seeds = _seed_array(seeds)
+    eps = 1.0 / N
+    beta, th2, drh = _rates(eps, a, m, theta)
+    beta2 = beta * beta
+    # layer arrays are (slot k, replication), as in march_points
     L = 2 * N + 1
     i_min = -N
     R = seeds.shape[0]
@@ -643,7 +450,7 @@ def _march_qv_np(seeds, N, eps, beta, beta2, th2, fid, p0, p1, drh, s1):
     out = np.zeros((R, 2))
     B, A, X = (np.zeros((L + 1, R)) for _ in range(3))
     dw_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
-    A[: L - 1] = s1 * noise.draw(1, i_min + 1, L - 1, 1)
+    A[: L - 1] = th2 * f0 * (eps / _SQRT2) * noise.draw(1, i_min + 1, L - 1, 1)
     qn = np.zeros(R)
     sf = np.zeros(R)
     for s in range(2, L):
@@ -668,27 +475,5 @@ def _march_qv_np(seeds, N, eps, beta, beta2, th2, fid, p0, p1, drh, s1):
         B, A, X = A, X, B
     out[:, 0] = qn
     out[:, 1] = sf
+    _finite(out)
     return out
-
-
-def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
-    """Quadratic-variation pass: march on the [0,N]^2 dependency window.
-
-    Returns (R, 2): column 0 the sum of squared raw double increments
-    over cells with bottom vertex in [0,N)^2, column 1 the matching sum
-    of F^2 at the bottom vertices.  Cells are taken anti-diagonal by
-    anti-diagonal in marching order, in increasing i within one.  The
-    numba kernel adds each cell to the running total; the numpy kernel
-    sums one anti-diagonal first and adds that partial sum, whatever the
-    chunk of seeds.
-    """
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
-    eps = 1.0 / N
-    beta = math.exp(-a * eps / (2.0 * _SQRT2))
-    th2 = 0.5 * theta
-    drh = 0.5 * (0.25 * a * a - m * m) * eps * eps
-    s1 = th2 * f0 * (eps / _SQRT2)
-    args = (seeds, N, eps, beta, beta * beta, th2, fid, p0, p1, drh, s1)
-    if USE_NUMBA:
-        return _march_qv_nb(*args)
-    return _march_qv_np(*args)

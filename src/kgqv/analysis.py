@@ -27,14 +27,6 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class RemainderSample:
-    eps: float
-    point: RotPoint
-    sign: int
-    value: float
-
-
-@dataclass(frozen=True)
 class QuadVarReport:
     n: int
     q_n: float
@@ -180,7 +172,6 @@ def increment_samples(
     i, j = probe.index_of(point)
     grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
     rows, _ = grid.shape
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
     pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
     pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
     out = _kernels.march_points(

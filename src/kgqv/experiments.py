@@ -42,17 +42,17 @@ EXPERIMENT_IDS = (
     "oracle_check",
 )
 
-# largest replication chunk: memory bound for the vectorized path and
+# largest replication chunk: memory bound for the layer buffers and
 # the largest work unit handed to a thread (see _chunk_sizes); results
 # are chunk-size independent by construction.
-# numpy path, n=256 linear_variance march on a 2-core Xeon: 128 to 384
-# seeds per chunk cost the same per replication within run-to-run noise,
-# 64 is ~15% slower (per-layer call overhead dominates), 512 and 1024
-# are 5-25% slower
-_CHUNK = 4096 if _kernels.USE_NUMBA else 256
+# n=256 linear_variance march on a 2-core Xeon: 128 to 384 seeds per
+# chunk cost the same per replication within run-to-run noise, 64 is
+# ~15% slower (per-layer call overhead dominates), 512 and 1024 are
+# 5-25% slower
+_CHUNK = 256
 
 # seeds are 64-bit Philox keys; a larger one would alias a smaller one
-_SEED_LIMIT = 2**64
+_SEED_LIMIT = _kernels._SEED_LIMIT
 
 # marching-scheme vs fixed-point-oracle sup-norm ceilings: measured
 # 0.0644 at n=8 and 0.0362 at n=16 over the five default seeds at

@@ -10,19 +10,14 @@ generation, and any evaluation order give bit-identical draws.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .coords import RotatedGrid
-from .errors import UsageError
 
 _SQRT2 = math.sqrt(2.0)
-
-_MAGIC = int.from_bytes(b"kgqvwn01", "little")
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,48 +64,3 @@ def generate(grid: RotatedGrid, master_seed: int) -> NoiseField:
     tris.setflags(write=False)
     return NoiseField(grid=grid, master_seed=int(master_seed), cells=cells, tris=tris)
 
-
-def dump(field: NoiseField, path) -> None:
-    """Write a field to a flat binary file (debugging aid).
-
-    Header: magic, format version, n, master_seed as little-endian
-    unsigned 64-bit integers; then the cell increments row-major and the
-    triangle increments, all little-endian float64.  Only default
-    windows (i_max = j_max = n) round-trip, since the header carries n
-    alone.
-    """
-    g = field.grid
-    if g.i_max != g.n or g.j_max != g.n:
-        raise UsageError("only default-window fields can be dumped")
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<QQQQ", _MAGIC, _FORMAT_VERSION, g.n, field.master_seed
-            )
-        )
-        fh.write(np.ascontiguousarray(field.cells, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(field.tris, dtype="<f8").tobytes())
-
-
-def load(path) -> NoiseField:
-    with open(path, "rb") as fh:
-        head = fh.read(32)
-        if len(head) != 32:
-            raise UsageError(f"{path}: truncated header")
-        magic, version, n, seed = struct.unpack("<QQQQ", head)
-        if magic != _MAGIC:
-            raise UsageError(f"{path}: not a noise dump")
-        if version != _FORMAT_VERSION:
-            raise UsageError(f"{path}: unsupported format version {version}")
-        grid = RotatedGrid(int(n))
-        rows, cols = grid.shape
-        body = fh.read()
-    want = (rows * cols + rows - 1) * 8
-    if len(body) != want:
-        raise UsageError(f"{path}: expected {want} payload bytes, got {len(body)}")
-    flat = np.frombuffer(body, dtype="<f8")
-    cells = flat[: rows * cols].reshape(rows, cols).copy()
-    tris = flat[rows * cols :].copy()
-    cells.setflags(write=False)
-    tris.setflags(write=False)
-    return NoiseField(grid=grid, master_seed=int(seed), cells=cells, tris=tris)

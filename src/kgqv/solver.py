@@ -177,36 +177,14 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     v_C carries the noise term, replaying F along the full field's
     bottom values; v_L carries the drift quadrature.  By linearity of
     the homogeneous recurrence, v_L + v_C reproduces v to round-off.
-    Returns (v_L, v_C).
+    All three fields march in one pass.  Returns (v_L, v_C).
     """
-    v = march(params, F, noise)
+    _check_noise(noise)
     g = noise.grid
-    L = g.shape[0]
-    eps = g.eps
-    beta = math.exp(-params.a * eps / (2.0 * _SQRT2))
-    beta2 = beta * beta
-    th2 = 0.5 * params.theta
-    bcoef = params.drift_coef
-    vv = v.values
-    v_c = np.zeros_like(vv)
-    v_l = np.zeros_like(vv)
-    ks = np.arange(L - 1)
-    v_c[1 + ks, L - 1 - ks] = th2 * F(0.0) * noise.tris
-    for s in range(2, L):
-        k = np.arange(L - s)
-        ii = s + k
-        jj = L - 1 - k
-        bot = vv[ii - 1, jj - 1]
-        v_c[ii, jj] = (
-            beta * (v_c[ii - 1, jj] + v_c[ii, jj - 1])
-            - beta2 * v_c[ii - 1, jj - 1]
-            + th2 * F(bot) * noise.cells[ii - 1, jj - 1]
-        )
-        v_l[ii, jj] = (
-            beta * (v_l[ii - 1, jj] + v_l[ii, jj - 1])
-            - beta2 * v_l[ii - 1, jj - 1]
-            + 0.5 * (bcoef * bot) * eps * eps
-        )
+    _, v_l, v_c = _kernels._march_stored(
+        noise.cells, noise.tris, g.eps, params.a, params.m, params.theta,
+        F.fid, F.p0, F.p1, F(0.0), split=True,
+    )
     v_l.setflags(write=False)
     v_c.setflags(write=False)
     return (
@@ -216,6 +194,13 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
 
 
 def _picard_iterate(params, F, noise, iterations):
+    _check_noise(noise)
+    if noise.grid.n > 16:
+        raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")
+    if iterations is None:
+        iterations = max(8, noise.grid.n + 2)
+    if iterations < 8:
+        raise UsageError(f"need at least 8 iterations, got {iterations}")
     g = noise.grid
     L = g.shape[0]
     eps = g.eps
@@ -258,13 +243,6 @@ def picard_oracle(
     point: sweep k is already exact on layers up to 2k because each
     sweep only reads strictly earlier layers.
     """
-    _check_noise(noise)
-    if noise.grid.n > 16:
-        raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")
-    if iterations is None:
-        iterations = max(8, noise.grid.n + 2)
-    if iterations < 8:
-        raise UsageError(f"need at least 8 iterations, got {iterations}")
     u, _ = _picard_iterate(params, F, noise, iterations)
     u.setflags(write=False)
     return FieldSample(noise.grid, u, params, "nonlinear")
@@ -274,10 +252,5 @@ def picard_deltas(
     params: PhysParams, F: DiffusionCoefficient, noise: NoiseField, iterations=None
 ) -> np.ndarray:
     """Successive sup-norm differences of the oracle sweeps (diagnostics)."""
-    _check_noise(noise)
-    if noise.grid.n > 16:
-        raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")
-    if iterations is None:
-        iterations = max(8, noise.grid.n + 2)
     _, deltas = _picard_iterate(params, F, noise, iterations)
     return deltas

@@ -3,8 +3,8 @@
 march_points and march_qv draw their noise one anti-diagonal at a time
 inside the kernel, one Philox block per pair of cells.  The reference
 here is march_window over noise.generate's stored arrays, which draws
-every cell on its own.  On the active path both must give the same
-bytes, so a faster noise draw can never move an experiment's output.
+every cell on its own.  Both must give the same bytes, so a faster
+noise draw can never move an experiment's output.
 
 Seeds sit above 2^32 so the high key word is live, and the windows
 cover both parities of the first cell index of a layer.  The seed
@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from kgqv import _kernels, analysis, noise
+from kgqv.errors import NumericError, UsageError
 from kgqv.coords import RotatedGrid
 from kgqv.greens import PhysParams
-from kgqv.solver import clipped_linear, march, march_linear, shifted_sine
+from kgqv.solver import affine, clipped_linear, march, march_linear, march_split, shifted_sine
 
 SEEDS = np.array([2**32 + 7, 2**40 + 123, 2**63 + 5, 2**64 - 2], dtype=np.uint64)
 
@@ -89,12 +90,6 @@ def layer_order_sums(v, F, N):
     qn = 0.0
     sf = 0.0
     for terms in layers:
-        if _kernels.active_path() == "numba":
-            # one running total, cell by cell
-            for q, f in terms:
-                qn += q
-                sf += f
-            continue
         part_q = 0.0
         part_f = 0.0
         for q, f in terms:
@@ -152,3 +147,50 @@ def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
         assert alone.tobytes() == together[r : r + 1].tobytes()
     pairs = np.concatenate([rows(SEEDS[:2]), rows(SEEDS[2:])])
     assert pairs.tobytes() == together.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [np.array([-1]), np.array([5, -3], dtype=np.int64), [2**64], [0, 2**64 + 3], [-1, 2**63], [1.0]],
+    ids=["minus-one", "negative-int64", "two-to-64", "past-2-to-64", "mixed-list", "float"],
+)
+def test_seeds_outside_the_key_range_are_rejected(seeds):
+    # a cast to uint64 would wrap -1 to 2^64 - 1 and march that seed instead
+    F = shifted_sine()
+    with pytest.raises(UsageError):
+        _kernels.march_qv(seeds, 4, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
+    with pytest.raises(UsageError):
+        _kernels.march_points(
+            seeds, 9, -4, 0.25, 1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0),
+            np.array([0]), np.array([1]),
+        )
+
+
+def test_largest_seeds_are_keys_not_errors():
+    F = shifted_sine()
+    args = (4, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
+    top = _kernels.march_qv([2**64 - 1], *args)
+    same = _kernels.march_qv(np.array([2**64 - 1], dtype=np.uint64), *args)
+    zero = _kernels.march_qv(np.array([0], dtype=np.int64), *args)
+    assert top.tobytes() == same.tobytes()
+    assert top.tobytes() != zero.tobytes()
+
+
+def test_blown_up_marches_raise_numeric_error():
+    # theta = 1e200 with an affine coefficient overflows within a few layers
+    F = affine()
+    grid = RotatedGrid(8)
+    nf = noise.generate(grid, 3)
+    params = PhysParams(a=1.0, m=0.5, theta=1e200, diffusion_id=F.id)
+    with pytest.raises(NumericError):
+        march(params, F, nf)
+    with pytest.raises(NumericError):
+        march_split(params, F, nf)
+    with pytest.raises(NumericError):
+        _kernels.march_qv(SEEDS, 8, 1e200, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
+    pts_i, pts_j = window_points(grid)
+    with pytest.raises(NumericError):
+        _kernels.march_points(
+            SEEDS, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1e200,
+            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j,
+        )

@@ -1,4 +1,4 @@
-"""Noise field generation, accessors, scaling, and the binary container."""
+"""Noise field generation, accessors, scaling and seed range."""
 
 import math
 
@@ -122,42 +122,14 @@ class TestScaling:
         assert abs(corr_v) < 4.0 / math.sqrt(k)
 
 
-class TestContainer:
-    def test_roundtrip(self, tmp_path, small):
-        p = tmp_path / "field.kgn"
-        noise.dump(small, p)
-        back = noise.load(p)
-        assert back.master_seed == small.master_seed
-        assert back.grid.n == small.grid.n
-        assert np.array_equal(back.cells, small.cells)
-        assert np.array_equal(back.tris, small.tris)
-        assert not back.cells.flags.writeable
-
-    def test_dump_rejects_non_default_window(self, tmp_path):
-        f = noise.generate(RotatedGrid(8, i_max=3, j_max=8), 1)
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 7, -1, -(2**63)])
+    def test_seed_outside_key_range_is_rejected(self, seed):
+        # masking to 64 bits would make 2^64 march seed 0 and -1 march 2^64 - 1
         with pytest.raises(UsageError):
-            noise.dump(f, tmp_path / "x.kgn")
+            noise.generate(RotatedGrid(8), seed)
 
-    def test_load_rejects_bad_magic(self, tmp_path, small):
-        p = tmp_path / "field.kgn"
-        noise.dump(small, p)
-        raw = bytearray(p.read_bytes())
-        raw[0] ^= 0xFF
-        p.write_bytes(bytes(raw))
-        with pytest.raises(UsageError):
-            noise.load(p)
-
-    def test_load_rejects_truncation(self, tmp_path, small):
-        p = tmp_path / "field.kgn"
-        noise.dump(small, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-8])
-        with pytest.raises(UsageError):
-            noise.load(p)
-
-    def test_load_rejects_trailing_junk(self, tmp_path, small):
-        p = tmp_path / "field.kgn"
-        noise.dump(small, p)
-        p.write_bytes(p.read_bytes() + b"\x00" * 8)
-        with pytest.raises(UsageError):
-            noise.load(p)
+    def test_largest_seed_is_its_own_realization(self):
+        top = noise.generate(RotatedGrid(8), 2**64 - 1)
+        assert top.master_seed == 2**64 - 1
+        assert not np.array_equal(top.cells, noise.generate(RotatedGrid(8), 0).cells)

@@ -65,6 +65,42 @@ def brute_march(params, F, nf):
     return vals
 
 
+def cell_loop(params, F, nf):
+    """v and its parts v_L, v_C on the full window, one cell at a time.
+
+    Groups every update as _kernels._step_np documents:
+    ((beta*(A + A') - beta2*bot) + drive) + drh*bot for v, with drive =
+    (F(bot)*theta/2)*dW; v_C takes the same drive and v_L the drive
+    (1/2)(b bot) eps^2, both from v's bottom, and neither has a drh term.
+    """
+    g = nf.grid
+    L = g.shape[0]
+    eps = g.eps
+    beta = math.exp(-params.a * eps / (2.0 * SQRT2))
+    beta2 = beta * beta
+    th2 = 0.5 * params.theta
+    b = params.drift_coef
+    drh = 0.5 * b * eps * eps
+    cells = nf.cells.tolist()
+    v, v_l, v_c = ([[0.0] * L for _ in range(L)] for _ in range(3))
+
+    def step(f, ii, jj, drive):
+        return beta * (f[ii - 1][jj] + f[ii][jj - 1]) - beta2 * f[ii - 1][jj - 1] + drive
+
+    for k in range(L - 1):
+        v[1 + k][L - 1 - k] = v_c[1 + k][L - 1 - k] = (th2 * F(0.0)) * float(nf.tris[k])
+    for s in range(2, L):
+        for k in range(L - s):
+            ii, jj = s + k, L - 1 - k
+            bot = v[ii - 1][jj - 1]
+            noise_drive = F(bot) * th2 * cells[ii - 1][jj - 1]
+            v[ii][jj] = step(v, ii, jj, noise_drive) + drh * bot
+            v_c[ii][jj] = step(v_c, ii, jj, noise_drive)
+            v_l[ii][jj] = step(v_l, ii, jj, 0.5 * (b * bot) * eps * eps)
+    v, v_l, v_c = (np.array(f) for f in (v, v_l, v_c))
+    return v, v_l, v_c
+
+
 class TestCoefficients:
     def test_menu_values(self):
         assert constant_one()(1.7) == 1.0
@@ -185,18 +221,21 @@ class TestMarchAgainstReplay:
                     assert part.value(i, j) == full.value(i, j)
 
     def test_twin_paths_agree(self):
-        params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
-        F = shifted_sine()
+        # the strided-view kernels against their plain-Python cell loop,
+        # byte for byte, for an affine and a clipped coefficient
         nf = noise.generate(RotatedGrid(16), 4)
-        v = march(params, F, nf)
-        g = nf.grid
-        beta = math.exp(-params.a * g.eps / (2.0 * SQRT2))
-        drh = 0.5 * params.drift_coef * g.eps * g.eps
-        ref = _kernels._march_window_np(
-            nf.cells, nf.tris, beta, beta * beta, 0.5, 0.5 * F(0.0),
-            F.fid, F.p0, F.p1, drh,
-        )
-        np.testing.assert_allclose(v.values, ref, rtol=1e-12, atol=1e-18)
+        for params, F in (
+            (PhysParams(a=1.5, m=0.4, theta=1.3, diffusion_id="affine"), affine(0.7, 0.9)),
+            (PhysParams(a=0.7, m=0.2, theta=2.0, diffusion_id="clipped_linear"), clipped_linear()),
+        ):
+            v, v_l, v_c = cell_loop(params, F, nf)
+            assert march(params, F, nf).values.tobytes() == v.tobytes()
+            got_l, got_c = march_split(params, F, nf)
+            assert got_l.values.tobytes() == v_l.tobytes()
+            assert got_c.values.tobytes() == v_c.tobytes()
+            lin = PhysParams(a=params.a, m=params.m, theta=1.0, diffusion_id="constant_one")
+            V, _, _ = cell_loop(lin, constant_one(), nf)
+            assert march_linear(params, nf).values.tobytes() == V.tobytes()
 
 
 class TestFieldSample:
