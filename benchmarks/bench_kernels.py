@@ -1,11 +1,11 @@
 """Timing of the public marching and noise entry points.
 
-Times `_kernels.lattice_normals` over a (2n+1)^2 window, `march_window`
-at n=512 (the field-window size), and the replication kernels
-`march_points` and `march_qv` at resolution n with `reps` seeds per
-call, by default the experiments' chunk size (experiments._CHUNK),
-since much smaller chunks mostly time per-layer call overhead.  Prints
-the best of five runs per case.
+Times `_kernels.lattice_normals` over a (2n+1)^2 window, `noise.generate`
+and `march_window` at n=512 (the field-window size), and the
+replication kernels `march_points` and `march_qv` at resolution n with
+`reps` seeds per call, by default the experiments' chunk size
+(experiments._CHUNK), since much smaller chunks mostly time per-layer
+call overhead.  Prints the best of five runs per case.
 Usage: python3 benchmarks/bench_kernels.py [n] [reps]
 """
 
@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from kgqv import _kernels, experiments
+from kgqv import _kernels, experiments, noise
+from kgqv.coords import RotatedGrid
 
 WINDOW_N = 512
 F = (_kernels.FID_SHIFTED_SINE, 2.0, 1.0, 2.0)  # fid, p0, p1, F(0)
@@ -34,6 +35,11 @@ def best_of(fn, repeat=5):
 def normal_fill(n):
     shape = (2 * n + 1, 2 * n + 1)
     return lambda: _kernels.lattice_normals(-n, -n, shape, 0, 12345)
+
+
+def generate(n):
+    grid = RotatedGrid(n)
+    return lambda: noise.generate(grid, 12345)
 
 
 def march_window(n):
@@ -63,6 +69,7 @@ def main():
     reps = int(sys.argv[2]) if len(sys.argv) > 2 else experiments._CHUNK
     cases = [
         (f"normal fill {2 * n + 1}^2", normal_fill(n)),
+        (f"noise.generate n={WINDOW_N}", generate(WINDOW_N)),
         (f"march window n={WINDOW_N}", march_window(WINDOW_N)),
         (f"march {reps} reps, 2 points, n={n}", march_points(n, reps)),
         (f"quad var {reps} reps, N={n}", march_qv(n, reps)),

@@ -13,8 +13,10 @@ value is a pure function of (seed, i, j, kind).  Keying by
 (anti-diagonal, i >> 1) lets the replication kernels, which consume the
 cells of one anti-diagonal in increasing i, use both outputs of almost
 every block instead of discarding the second: they draw a whole layer
-for a chunk of replications through _LayerNoise.  Only the grid fills
-behind lattice_normals and triangle_normals spend one block per value.
+for a chunk of replications through _LayerNoise.  The grid fills behind
+lattice_normals and triangle_normals use the same pairs, drawn for the
+whole window at once (_pair_normals); noise.generate draws only the
+pairs on or above the initial line.
 """
 
 from __future__ import annotations
@@ -134,42 +136,44 @@ def _philox_rounds_np(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
-def _normals_np(i_arr, j_arr, kind, k0, k1):
-    """Normals for broadcastable int64 index arrays, one block per entry.
-
-    Evaluates the full block per entry and keeps the parity branch, so
-    grid fills pay double Philox work; the marching kernels draw one
-    block per pair instead (_LayerNoise).
-    """
-    i64 = np.asarray(i_arr, dtype=np.int64)
-    j64 = np.asarray(j_arr, dtype=np.int64)
-    c0 = ((i64 + j64 + _IOFF) & _IMASK).astype(np.uint64)
-    c1 = (((i64 >> 1) + _IOFF) & _IMASK).astype(np.uint64)
-    c2 = np.broadcast_to(np.uint64(kind), c0.shape)
-    c3 = np.broadcast_to(np.uint64(0), c0.shape)
-    r0, r1, r2, r3 = _philox_rounds_np(c0, c1, c2, c3, k0, k1)
-    hi = (r0 << _SH32) | r1
-    lo = (r2 << _SH32) | r3
-    u1 = ((hi >> _SH11) + _ONE) * _INV53  # in (0, 1], log-safe
-    u2 = (lo >> _SH11) * _INV53
+def _pair_normals(sig, q, kind, k0, k1):
+    """rad*cos (cell i = 2q) and rad*sin (cell 2q+1) of the blocks at (sig, q)."""
+    c0 = np.asarray((sig + _IOFF) & _IMASK, dtype=np.uint64)
+    c1 = np.asarray((q + _IOFF) & _IMASK, dtype=np.uint64)
+    r0, r1, r2, r3 = _philox_rounds_np(c0, c1, np.uint64(kind), np.uint64(0), k0, k1)
+    u1 = ((((r0 << _SH32) | r1) >> _SH11) + _ONE) * _INV53  # in (0, 1], log-safe
+    ang = _TWO_PI * ((((r2 << _SH32) | r3) >> _SH11) * _INV53)
     rad = np.sqrt(-2.0 * np.log(u1))
-    ang = _TWO_PI * u2
-    return np.where((i64 & 1) == 0, rad * np.cos(ang), rad * np.sin(ang))
+    return rad * np.cos(ang), rad * np.sin(ang)
 
 
-def lattice_normals(i0, j0, shape, kind, seed):
-    """Standard normals for lattice indices (i0+r, j0+c), any rectangle."""
+def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
+    """Standard normals for lattice indices (i0+r, j0+c), any rectangle.
+
+    Pair (q, t) holds the cells (2q, t) and (2q+1, t-1) of anti-diagonal
+    2q + t.  With `sig_min`, only the pairs with i + j >= sig_min are
+    drawn and the cells below are +0.0.
+    """
     k0, k1 = _split_seed(seed)
-    ii = i0 + np.arange(shape[0], dtype=np.int64)[:, None]
-    jj = j0 + np.arange(shape[1], dtype=np.int64)[None, :]
-    return _normals_np(ii, jj, kind, k0, k1)
+    rows, cols = shape
+    first = i0 & 1
+    q = (i0 >> 1) + np.arange((first + rows + 1) // 2, dtype=np.int64)[:, None]
+    sig = 2 * q + (j0 + np.arange(cols + 1, dtype=np.int64))
+    on = np.s_[:] if sig_min is None else sig >= sig_min
+    qs = q if sig_min is None else np.broadcast_to(q, sig.shape)[on]
+    pairs = np.zeros((2, *sig.shape))
+    pairs[0][on], pairs[1][on] = _pair_normals(sig[on], qs, kind, k0, k1)
+    z = np.stack((pairs[0, :, :cols], pairs[1, :, 1:]), axis=1)
+    return z.reshape(-1, cols)[first : first + rows]
 
 
 def triangle_normals(i0, count, seed):
     """Standard normals for the layer-1 points (i0+k, 1-(i0+k))."""
     k0, k1 = _split_seed(seed)
-    ii = i0 + np.arange(count, dtype=np.int64)
-    return _normals_np(ii, 1 - ii, 1, k0, k1)
+    first = i0 & 1
+    q = (i0 >> 1) + np.arange((first + count + 1) // 2, dtype=np.int64)
+    z = np.stack(_pair_normals(1, q, 1, k0, k1), axis=1)
+    return z.reshape(-1)[first : first + count]
 
 
 class _LayerNoise:
@@ -183,7 +187,7 @@ class _LayerNoise:
     with P pairs works on the first P*R entries as one contiguous
     (P, R) block.  Until round four some state words are constant along
     one axis; those stay at their smaller shapes and cost no full pass.
-    Every value is bitwise what _normals_np gives for the same cell.
+    Every value is bitwise what lattice_normals gives for the same cell.
     """
 
     def __init__(self, seeds, max_count):

@@ -476,10 +476,10 @@ def _run_remainder_rate(cfg: ExperimentConfig):
 # quadvar_rate
 
 
-def _qv_rows(cfg, params, F, n_list, reps):
+def _qv_rows(name, cfg, params, F, n_list, reps):
     per_n = {}
     for N in n_list:
-        _progress(f"quadvar_rate: N={N} reps={reps} F={F.id} a={params.a:g}")
+        _progress(f"{name}: N={N} reps={reps} F={F.id} a={params.a:g}")
 
         def worker(seeds, N=N):
             return _kernels.march_qv(
@@ -503,7 +503,7 @@ def _run_quadvar_rate(cfg: ExperimentConfig):
     lin_reps = 500 if cfg.reps is None else cfg.reps
     _require(lin_reps >= 100, f"quadvar_rate needs reps >= 100, got {lin_reps}")
     lin_ns = [N for N in (64, 128, 256) if N <= n_top]
-    lin = _qv_rows(cfg, lin_params, lin_F, lin_ns, lin_reps)
+    lin = _qv_rows("quadvar_rate", cfg, lin_params, lin_F, lin_ns, lin_reps)
     mean_ok = True
     variances = []
     for N in lin_ns:
@@ -527,7 +527,7 @@ def _run_quadvar_rate(cfg: ExperimentConfig):
     F = solver.coefficient_from_id(params.diffusion_id)
     nl_reps = 200 if cfg.reps is None else cfg.reps
     nl_ns = [N for N in (64, 128, 256, 512) if N <= n_top]
-    nl = _qv_rows(cfg, params, F, nl_ns, nl_reps)
+    nl = _qv_rows("quadvar_rate", cfg, params, F, nl_ns, nl_reps)
     gaps = []
     for N in nl_ns:
         qn, sf = nl[N][:, 0], nl[N][:, 1]
@@ -581,16 +581,9 @@ def _run_estimator_consistency(cfg: ExperimentConfig):
     n_list = [N for N in (64, 128, 256, 512) if N <= n_top]
     rows = []
     medians = []
+    per_n = _qv_rows("estimator_consistency", cfg, params, F, n_list, reps)
     for N in n_list:
-        _progress(f"estimator_consistency: N={N} reps={reps}")
-
-        def worker(seeds, N=N):
-            return _kernels.march_qv(
-                seeds, N, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m
-            )
-
-        out = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
-        qn, sf = out[:, 0], out[:, 1]
+        qn, sf = per_n[N][:, 0], per_n[N][:, 1]
         if np.any(sf <= 0.0):
             raise NumericError("diffusion coefficient vanished on a whole sample")
         th = np.sqrt(4.0 * N * N * qn / sf)

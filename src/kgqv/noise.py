@@ -52,11 +52,11 @@ class NoiseField:
 def generate(grid: RotatedGrid, master_seed: int) -> NoiseField:
     """Draw the full noise realization for a window, deterministically."""
     rows, cols = grid.shape
-    z = _kernels.lattice_normals(grid.i_min, grid.j_min, (rows, cols), 0, master_seed)
-    cells = grid.eps * z
-    ii = np.arange(rows)[:, None]
-    jj = np.arange(cols)[None, :]
-    cells[ii + jj < rows - 1] = 0.0
+    # both cells of a pair share i + j, so a pair is drawn whole or not at all
+    cells = _kernels.lattice_normals(
+        grid.i_min, grid.j_min, (rows, cols), 0, master_seed, sig_min=0
+    )
+    cells *= grid.eps
     tris = (grid.eps / _SQRT2) * _kernels.triangle_normals(
         grid.i_min + 1, rows - 1, master_seed
     )

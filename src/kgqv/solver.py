@@ -193,6 +193,7 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     )
 
 
+@_kernels._quiet
 def _picard_iterate(params, F, noise, iterations):
     _check_noise(noise)
     if noise.grid.n > 16:
@@ -221,6 +222,7 @@ def _picard_iterate(params, F, noise, iterations):
     for _ in range(iterations):
         src = (bcoef * u) * eps * eps + params.theta * F(u) * noise.cells
         u_next = signal.convolve2d(src, w_cell)[:L, :L] + tri_part
+        _kernels._finite(u_next)  # a nan sup-difference never trips the test below
         deltas.append(float(np.max(np.abs(u_next - u))))
         if len(deltas) >= 2:
             floor = 1e-10 * (1.0 + float(np.max(np.abs(u_next))))

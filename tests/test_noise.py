@@ -1,5 +1,6 @@
 """Noise field generation, accessors, scaling and seed range."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,19 @@ import pytest
 from kgqv import noise
 from kgqv.coords import RotatedGrid
 from kgqv.errors import UsageError
+
+from test_philox import ref_gauss
+
+# SHA-256 of cells.tobytes() + tris.tobytes().  The bytes depend on the numpy
+# build (np.log is not libm's log), so the pins hold only for the numpy
+# major.minor they were recorded with
+GENERATE_SHA256 = {
+    ((64,), 0): "7f813e77b8e1715cfbe7909f969228504d434e2996f8437517138908916ca439",
+    ((64,), 2**64 - 1): "f1a94eede36acfb29409d7995939a998b3519177133ca6cfc4921627d78439c7",
+    ((16, 3, 9), 0): "a7e61f18100c9c82830ba5b4bbd82ec8094ba3b208660f1f72b2fbd49f980d30",
+    ((16, 3, 9), 2**64 - 1): "d96407f408c63194ac8e49234e6d0b41c49284a9807dcd9a0f6bad9a1481d240",
+}
+GENERATE_NUMPY = "2.4"
 
 
 @pytest.fixture
@@ -39,6 +53,32 @@ class TestGenerate:
     def test_seed_changes_values(self, small):
         other = noise.generate(small.grid, 54321)
         assert not np.array_equal(other.cells, small.cells)
+
+    @pytest.mark.parametrize("args", [(16,), (16, 3, 9), (8, 5, 11)])
+    def test_matches_reference_on_and_above_line(self, args):
+        g = RotatedGrid(*args)
+        nf = noise.generate(g, 2024)
+        for ii in range(g.shape[0]):
+            for jj in range(g.shape[1]):
+                i, j = g.i_min + ii, g.j_min + jj
+                got = nf.cells[ii, jj]
+                if i + j >= 0:
+                    assert got == pytest.approx(g.eps * ref_gauss(i, j, 0, 2024), rel=1e-12)
+                else:
+                    assert got == 0.0 and not np.signbit(got)
+
+    @pytest.mark.parametrize("key", sorted(GENERATE_SHA256))
+    def test_bytes_match_recorded_hash(self, key):
+        args, seed = key
+        version = ".".join(np.__version__.split(".")[:2])
+        if version != GENERATE_NUMPY:
+            pytest.skip(
+                f"hashes recorded with numpy {GENERATE_NUMPY}, running {version}: "
+                "only test_matches_reference_on_and_above_line (rel 1e-12) checked the values"
+            )
+        nf = noise.generate(RotatedGrid(*args), seed)
+        digest = hashlib.sha256(nf.cells.tobytes() + nf.tris.tobytes()).hexdigest()
+        assert digest == GENERATE_SHA256[key]
 
     def test_window_coherence(self):
         # same n, smaller window: shared lattice sites agree bitwise

@@ -100,17 +100,18 @@ def test_gauss_matches_reference(i, j, kind, seed):
 
 
 def test_pair_and_parity_consistency():
-    # a layer draw shares one block between neighbouring even/odd i on
-    # an anti-diagonal; each value must still be its own cell's normal,
+    # the layer draw and the window fill are separate implementations of
+    # the same pairing: a block per (sigma, i >> 1), cos for even i and sin
+    # for odd i.  They must agree byte for byte on one anti-diagonal,
     # whichever parity the layer starts on
     seeds = np.array([99, 2**40 + 1], dtype=np.uint64)
     layer = _kernels._LayerNoise(seeds, 12)
     for ic0 in (-7, -2, 0, 5):
         z = layer.draw(3, ic0, 12, 0)
         for r, seed in enumerate(seeds):
-            ii = ic0 + np.arange(12, dtype=np.int64)
-            k0, k1 = _kernels._split_seed(seed)
-            want = _kernels._normals_np(ii, 3 - ii, 0, k0, k1)
+            # rows i = ic0 + k, columns j = 3 - ic0 - 11 + c: sigma 3 is c = 11 - k
+            rect = _kernels.lattice_normals(ic0, 3 - ic0 - 11, (12, 12), 0, int(seed))
+            want = np.ascontiguousarray(np.fliplr(rect).diagonal())
             assert z[:, r].tobytes() == want.tobytes()
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from kgqv import _kernels, noise
 from kgqv.coords import PhysPoint, RotatedGrid
-from kgqv.errors import DomainError, OracleError, UsageError
+from kgqv.errors import DomainError, NumericError, OracleError, UsageError
 from kgqv.greens import PhysParams
 from kgqv.solver import (
     FieldSample,
@@ -436,6 +436,15 @@ class TestPicardOracle:
         nf = noise.generate(RotatedGrid(8), 3)
         with pytest.raises(OracleError):
             picard_oracle(params, F, nf)
+
+    @pytest.mark.parametrize("oracle", [picard_oracle, picard_deltas])
+    def test_overflowing_sweep_raises(self, oracle):
+        # the second sweep overflows; its nan sup-difference compares false
+        # against every divergence bound, so only a finiteness check sees it
+        params = PhysParams(a=1.0, m=0.5, theta=1e200, diffusion_id="affine")
+        nf = noise.generate(RotatedGrid(8), 3)
+        with pytest.raises(NumericError):
+            oracle(params, affine(), nf)
 
     def test_size_and_iteration_guards(self):
         params = PhysParams()
