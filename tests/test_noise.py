@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kgqv import noise
+from kgqv import _kernels, noise
 from kgqv.coords import RotatedGrid
 from kgqv.errors import UsageError
 
@@ -21,7 +21,30 @@ GENERATE_SHA256 = {
     ((16, 3, 9), 0): "a7e61f18100c9c82830ba5b4bbd82ec8094ba3b208660f1f72b2fbd49f980d30",
     ((16, 3, 9), 2**64 - 1): "d96407f408c63194ac8e49234e6d0b41c49284a9807dcd9a0f6bad9a1481d240",
 }
-GENERATE_NUMPY = "2.4"
+RECORDED_NUMPY = "2.4"
+# SHA-256 of the full-rectangle lattice_normals(i0, j0, (rows, cols), kind,
+# seed), for odd and even i0 and both streams, and of triangle_normals(i0,
+# count, seed)
+LATTICE_SHA256 = {
+    (-7, -5, 75, 29, 0, 0): "2836dd10ed8c247d4872353bcf59b4ac5ba813b983331136bcd2e99dc0d33962",
+    (-7, -5, 75, 29, 1, 2**64 - 1): "d3bcabc829e45c606a198d1624376248a64dd1f47fed79c95f99f62fdfbab9aa",
+    (-8, 3, 75, 29, 0, 2**64 - 1): "c949af7f12f53a1543508cbdcdb73d6f595777745607f784acbe3d7cf52abb65",
+    (-8, 3, 75, 29, 1, 0): "bd4afc392271cb52fcce2a336b1047ae7b9e236a0479aabdfbc22d018dec2d7a",
+}
+TRIANGLE_SHA256 = {
+    (-7, 75, 0): "a1edf49548c47db49e05f1054607d2e7ca0727d54e4db70e69dd00ac4a891f02",
+    (-8, 76, 2**64 - 1): "5f4e84e8f180ab501c80bcfa89b4421c3eeab6322ba242844bd4a419f90fc5dc",
+}
+
+
+def skip_unless_recorded_numpy(checked_instead):
+    """Skip a recorded-hash pin under a numpy major.minor it was not recorded with."""
+    version = ".".join(np.__version__.split(".")[:2])
+    if version != RECORDED_NUMPY:
+        pytest.skip(
+            f"hashes recorded with numpy {RECORDED_NUMPY}, running {version}: "
+            f"only {checked_instead} checked the values"
+        )
 
 
 @pytest.fixture
@@ -69,13 +92,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("key", sorted(GENERATE_SHA256))
     def test_bytes_match_recorded_hash(self, key):
+        skip_unless_recorded_numpy("test_matches_reference_on_and_above_line (rel 1e-12)")
         args, seed = key
-        version = ".".join(np.__version__.split(".")[:2])
-        if version != GENERATE_NUMPY:
-            pytest.skip(
-                f"hashes recorded with numpy {GENERATE_NUMPY}, running {version}: "
-                "only test_matches_reference_on_and_above_line (rel 1e-12) checked the values"
-            )
         nf = noise.generate(RotatedGrid(*args), seed)
         digest = hashlib.sha256(nf.cells.tobytes() + nf.tris.tobytes()).hexdigest()
         assert digest == GENERATE_SHA256[key]
@@ -91,6 +109,21 @@ class TestGenerate:
                     continue
                 if full.grid.contains_index(i, j):
                     assert part.increment_over_cell(i, j) == full.increment_over_cell(i, j)
+
+
+class TestFillPins:
+    @pytest.mark.parametrize("key", sorted(LATTICE_SHA256))
+    def test_lattice_bytes_match_recorded_hash(self, key):
+        skip_unless_recorded_numpy("test_philox's scalar reference checks (rel 1e-12)")
+        i0, j0, rows, cols, kind, seed = key
+        z = _kernels.lattice_normals(i0, j0, (rows, cols), kind, seed)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == LATTICE_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(TRIANGLE_SHA256))
+    def test_triangle_bytes_match_recorded_hash(self, key):
+        skip_unless_recorded_numpy("test_philox's scalar reference checks (rel 1e-12)")
+        z = _kernels.triangle_normals(*key)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == TRIANGLE_SHA256[key]
 
 
 class TestAccessors:

@@ -8,6 +8,7 @@ closed form (1/4)(1 - e^(-cS)(1 + cS))/c^2 with c = a/sqrt(2) and
 S = tau + lambda.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from kgqv.solver import (
     picard_oracle,
     shifted_sine,
 )
+
+from test_noise import skip_unless_recorded_numpy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -236,6 +239,56 @@ class TestMarchAgainstReplay:
             lin = PhysParams(a=params.a, m=params.m, theta=1.0, diffusion_id="constant_one")
             V, _, _ = cell_loop(lin, constant_one(), nf)
             assert march_linear(params, nf).values.tobytes() == V.tobytes()
+
+
+# SHA-256 of the bytes of march, march_linear and march_split (v_L, v_C)
+# values, in that order, at PINNED_PARAMS.  F(u) = u keeps every field at
+# a pattern of signed zeros, so that case pins the -0.0 the split parts
+# keep (they never add 0*bot).  Recorded with numpy 2.4 (see test_noise)
+PINNED_PARAMS = PhysParams(a=1.0, m=0.7, theta=1.5, diffusion_id="affine")
+PINNED_COEFFICIENTS = {
+    "shifted_sine": shifted_sine(),
+    "affine": affine(),
+    "affine(0, 1)": affine(0.0, 1.0),
+}
+MARCH_SHA256 = {
+    ((64,), 0, "shifted_sine"):
+        "6f5af4d937a45eba94157da1454052ad9c614b7dcded12021f6f1d6b261f9c05",
+    ((64,), 0, "affine"):
+        "1f64646fcced02911d6b3a569fa423ce477fbb4991470b4d0f52735d4f6fc195",
+    ((64,), 0, "affine(0, 1)"):
+        "1f589d1c28b7de139e83997304e5fc80e28af744b12174b39f93d811ddcbc93d",
+    ((64,), 2**64 - 1, "shifted_sine"):
+        "527c10889fcb1d0abfd3b4ed92c841c7c789def765682a33689ca102d56cd694",
+    ((64,), 2**64 - 1, "affine"):
+        "a479dcd6f3701882024d0fabbf42b0db6eeff5351a98c1a74f7198eef9ef6346",
+    ((64,), 2**64 - 1, "affine(0, 1)"):
+        "6aae31630ac447b0edfdce903e11c0b7bd1c92f5ab37a391cf498de8aa4d4841",
+    ((16, 3, 9), 0, "shifted_sine"):
+        "9a9bc8880a5d0ee8a9464c827f6ac70f164d3d566e6874e3e4d00ea99c9b1623",
+    ((16, 3, 9), 0, "affine"):
+        "b4a1f9858f6faa99676f27d115e660fbb8a6cfe053ee2121e25e7fd9d74b0038",
+    ((16, 3, 9), 0, "affine(0, 1)"):
+        "4d796703325b0f3c324db4c30d8c36a505def15a5873efcf877d6ddc169d2ea7",
+    ((16, 3, 9), 2**64 - 1, "shifted_sine"):
+        "9a88a865dad4b42022f85639bee978a5f92a70521a3cc2569e42e1c2dafcb314",
+    ((16, 3, 9), 2**64 - 1, "affine"):
+        "90e97edb13f2337c50e008d846808fdda42dbe7b1bdcf07189232ce35109a43e",
+    ((16, 3, 9), 2**64 - 1, "affine(0, 1)"):
+        "21b3a7477ef9f497b5cb368b430314b7e46d2dbd6a658989673f598482faf428",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MARCH_SHA256, key=str))
+def test_stored_march_bytes_match_recorded_hash(key):
+    skip_unless_recorded_numpy("test_twin_paths_agree (n=16, affine and clipped F)")
+    args, seed, name = key
+    F = PINNED_COEFFICIENTS[name]
+    nf = noise.generate(RotatedGrid(*args), seed)
+    v_l, v_c = march_split(PINNED_PARAMS, F, nf)
+    fields = (march(PINNED_PARAMS, F, nf), march_linear(PINNED_PARAMS, nf), v_l, v_c)
+    digest = hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest()
+    assert digest == MARCH_SHA256[key]
 
 
 class TestFieldSample:
