@@ -1,15 +1,15 @@
 """Timing of the public marching and noise entry points.
 
-Times `_kernels.lattice_normals` over a (2n+1)^2 window, `noise.generate`
-and `march_window` at n=512 (the field-window size), and the
-replication kernels `march_points` and `march_qv` at resolution n with
+Times `_kernels.lattice_normals` over a (2n+1)^2 window; at n=512 (the
+field-window size) `noise.generate`, and `march_window` and the split
+march (v, v_L and v_C in one pass) over one generated realization; and
+the replication kernels `march_points` and `march_qv` at resolution n with
 `reps` seeds per call, by default the experiments' chunk size
 (experiments._CHUNK), since much smaller chunks mostly time per-layer
 call overhead.  Prints the best of five runs per case.
 Usage: python3 benchmarks/bench_kernels.py [n] [reps]
 """
 
-import math
 import sys
 import time
 
@@ -42,13 +42,20 @@ def generate(n):
     return lambda: noise.generate(grid, 12345)
 
 
+def stored_args(n):
+    grid = RotatedGrid(n)
+    nf = noise.generate(grid, 12345)
+    return (nf.cells, nf.tris, grid.eps, 1.0, 0.5, 1.0, *F)
+
+
 def march_window(n):
-    eps = 1.0 / n
-    L = 2 * n + 1
-    rng = np.random.default_rng(0)
-    cells = rng.standard_normal((L, L)) * eps
-    tris = rng.standard_normal(L - 1) * (eps / math.sqrt(2.0))
-    return lambda: _kernels.march_window(cells, tris, eps, 1.0, 0.5, 1.0, *F)
+    args = stored_args(n)
+    return lambda: _kernels.march_window(*args)
+
+
+def march_split(n):
+    args = stored_args(n)
+    return lambda: _kernels._march_stored(*args, split=True)
 
 
 def march_points(n, reps):
@@ -71,6 +78,7 @@ def main():
         (f"normal fill {2 * n + 1}^2", normal_fill(n)),
         (f"noise.generate n={WINDOW_N}", generate(WINDOW_N)),
         (f"march window n={WINDOW_N}", march_window(WINDOW_N)),
+        (f"march_split n={WINDOW_N}", march_split(WINDOW_N)),
         (f"march {reps} reps, 2 points, n={n}", march_points(n, reps)),
         (f"quad var {reps} reps, N={n}", march_qv(n, reps)),
     ]

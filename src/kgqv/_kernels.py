@@ -1,9 +1,13 @@
 """Counter-based Gaussian lattice noise and anti-diagonal marching kernels.
 
 One vectorized numpy path: every march advances a whole anti-diagonal
-layer at a time through one cell step, _step_np.  Results are
-bit-reproducible regardless of window shape, chunking or thread
-schedule, and every result leaves the module only when it is finite.
+layer at a time through one cell step, _step_np, on contiguous layer
+buffers reused from layer to layer: (slot, replication) blocks in the
+replication kernels, (slot, field) blocks in the stored-window marches,
+which read and write their L x L windows _LAYER_BLOCK layers at a time.
+Results are bit-reproducible regardless of window shape, chunking or
+thread schedule, and every result leaves the module only when it is
+finite.
 
 Noise convention: the standard normal attached to lattice index (i, j)
 and stream `kind` comes from the Philox4x32-10 block with counter
@@ -14,9 +18,10 @@ value is a pure function of (seed, i, j, kind).  Keying by
 cells of one anti-diagonal in increasing i, use both outputs of almost
 every block instead of discarding the second: they draw a whole layer
 for a chunk of replications through _LayerNoise.  The grid fills behind
-lattice_normals and triangle_normals use the same pairs, drawn for the
-whole window at once (_pair_normals); noise.generate draws only the
-pairs on or above the initial line.
+lattice_normals and triangle_normals use the same pairs (_pair_normals),
+lattice_normals _FILL_PAIR_ROWS pair rows at a time so that a block's
+temporaries stay in cache; noise.generate draws only the pairs on or
+above the initial line.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
 _NO_CELL = 1 << 40  # sentinel index: never matches a marched layer
 _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
+# blocks that keep the stored-window work in cache: anti-diagonal layers
+# per block of _march_stored, and pair rows per block of the stored fill
+_LAYER_BLOCK = 16
+_FILL_PAIR_ROWS = 16
 
 
 def _split_seed(seed):
@@ -104,14 +113,22 @@ def _f_eval(fid, p0, p1, x):
     return y + p1
 
 
-def _f_eval_np(fid, p0, p1, x):
+def _f_eval_np(fid, p0, p1, x, out=None):
+    """F(x) elementwise, into `out` when given; bitwise what _f_eval gives per value."""
+    out = np.empty(np.shape(x)) if out is None else out
     if fid == FID_CONSTANT_ONE:
-        return np.ones_like(x)
-    if fid == FID_AFFINE:
-        return p0 + p1 * x
-    if fid == FID_SHIFTED_SINE:
-        return p0 + p1 * np.sin(x)
-    return np.clip(x, -p0, p0) + p1
+        out[...] = 1.0
+    elif fid == FID_AFFINE:
+        np.multiply(x, p1, out=out)
+        out += p0
+    elif fid == FID_SHIFTED_SINE:
+        np.sin(x, out=out)
+        out *= p1
+        out += p0
+    else:
+        np.clip(x, -p0, p0, out=out)
+        out += p1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +168,30 @@ def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
     """Standard normals for lattice indices (i0+r, j0+c), any rectangle.
 
     Pair (q, t) holds the cells (2q, t) and (2q+1, t-1) of anti-diagonal
-    2q + t.  With `sig_min`, only the pairs with i + j >= sig_min are
-    drawn and the cells below are +0.0.
+    2q + t.  The pair grid is drawn _FILL_PAIR_ROWS pair rows at a time,
+    each block straight into its output rows.  With `sig_min`, only the
+    pairs with i + j >= sig_min are drawn and the cells below are +0.0.
     """
     k0, k1 = _split_seed(seed)
     rows, cols = shape
     first = i0 & 1
-    q = (i0 >> 1) + np.arange((first + rows + 1) // 2, dtype=np.int64)[:, None]
-    sig = 2 * q + (j0 + np.arange(cols + 1, dtype=np.int64))
-    on = np.s_[:] if sig_min is None else sig >= sig_min
-    qs = q if sig_min is None else np.broadcast_to(q, sig.shape)[on]
-    pairs = np.zeros((2, *sig.shape))
-    pairs[0][on], pairs[1][on] = _pair_normals(sig[on], qs, kind, k0, k1)
-    z = np.stack((pairs[0, :, :cols], pairs[1, :, 1:]), axis=1)
+    P = (first + rows + 1) // 2
+    z = np.empty((P, 2, cols))
+    t = j0 + np.arange(cols + 1, dtype=np.int64)
+    pairs = np.empty((2, _FILL_PAIR_ROWS, cols + 1))
+    for p in range(0, P, _FILL_PAIR_ROWS):
+        q = (i0 >> 1) + np.arange(p, min(p + _FILL_PAIR_ROWS, P), dtype=np.int64)[:, None]
+        sig = 2 * q + t
+        cos, sin = pairs[:, : q.shape[0]]
+        if sig_min is None:
+            cos[:], sin[:] = _pair_normals(sig, q, kind, k0, k1)
+        else:
+            on = sig >= sig_min
+            cos[:] = sin[:] = 0.0
+            qs = np.broadcast_to(q, sig.shape)[on]
+            cos[on], sin[on] = _pair_normals(sig[on], qs, kind, k0, k1)
+        z[p : p + q.shape[0], 0] = cos[:, :cols]
+        z[p : p + q.shape[0], 1] = sin[:, 1:]
     return z.reshape(-1, cols)[first : first + rows]
 
 
@@ -284,11 +312,12 @@ def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     """X[:c] = beta*(A[k]+A[k+1]) - beta2*bot + drive (+ drh*bot), in place.
 
     The one cell update of every march.  Rows are slots k of a layer
-    and bot = B[k+1]; the arrays are (slot, replication) blocks or
-    strided anti-diagonal views of a window.  drh=None leaves out the
-    own-bottom reaction term (the split parts v_L and v_C have none)
-    rather than adding 0*bot, which would turn -0.0 into +0.0 and an
-    infinity into nan.
+    and bot = B[k+1]; the arrays are contiguous (slot, replication)
+    blocks of the replication kernels or (slot, field) blocks of the
+    stored marches.  drh=None leaves out the own-bottom reaction term:
+    the stored marches add it to v's column alone after the step (the
+    split parts v_L and v_C have none) rather than adding 0*bot, which
+    would turn -0.0 into +0.0 and an infinity into nan.
     """
     x = X[:c]
     t = tmp[:c]
@@ -307,48 +336,83 @@ def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
 # marching over stored noise arrays (full window out)
 
 
-def _diagonals(a):
-    """Anti-diagonal views of an L x L array: layer s holds a[s+k, L-1-k], k < L-s."""
-    L = a.shape[0]
-    flat = a.reshape(-1)
-    return [flat[s * L + L - 1 :: L - 1][: L - s] for s in range(L)]
+def _layers(flat, L, s0, K):
+    """Anti-diagonal layers s0 .. s0+K-1 of a flat L x L array, by window row.
+
+    Entry [ii - s0, r] is a[ii, s0+r + L-1-ii], slot ii - s0 - r of
+    layer s0 + r, so each row is K adjacent values.  Only r <= ii - s0
+    lies in that layer: the other entries, in the first K-1 rows, alias
+    cells of the next row on or below layer 0.  With s0 + K <= L the
+    view stays inside the array.
+    """
+    step = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        flat[s0 * L + L - 1 :], (L - s0, K), ((L - 1) * step, step)
+    )
 
 
 @_quiet
 def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
     """[v] marched over stored increments, or [v, v_L, v_C] with `split`.
 
+    The fields march side by side as the columns of (slot, field) layer
+    buffers B, A and X, contiguous and reused from layer to layer as in
+    march_points, so one set of ufunc calls steps all of them.  Layers go
+    in blocks of _LAYER_BLOCK: a block's dW is read from `cells` row by
+    row into a small buffer, and its marched layers are staged and then
+    written row by row into the L x L results, each value once, so no
+    layer op walks a window anti-diagonal (a stride of L-1 values).
+
     v_C takes v's noise drive th2*F(v(bottom))*dW and v_L the drift
-    drive (1/2)(b v(bottom)) eps^2; neither has an own-bottom term, so
-    v_L + v_C reproduces v to round-off.
+    drive (1/2)(b v(bottom)) eps^2.  Only v gains the own-bottom term
+    drh*bot, added after the step, so v_L + v_C reproduces v to
+    round-off and the parts never gain a 0*bot (which would turn -0.0
+    into +0.0).
     """
     L = cells.shape[0]
     beta, th2, drh = _rates(eps, a, m, theta)
     beta2 = beta * beta
     bcoef = 0.25 * a * a - m * m
-    fields = [np.zeros((L, L)) for _ in range(3 if split else 1)]
-    v, *parts = (_diagonals(f) for f in fields)
-    dws = _diagonals(cells)
-    np.multiply(th2 * f0, tris, out=v[1])
-    if split:
-        v_l, v_c = parts
-        v_c[1][:] = v[1]
-    drive, drift, tmp = (np.empty(L) for _ in range(3))
-    for s in range(2, L):
-        c = L - s
-        bot = v[s - 2][1 : c + 1]
-        d = drive[:c]
-        np.multiply(_f_eval_np(fid, p0, p1, bot), th2, out=d)
-        d *= dws[s - 2][1 : c + 1]
-        if split:
-            b = drift[:c]
-            np.multiply(bot, bcoef, out=b)
-            b *= 0.5
-            b *= eps
-            b *= eps
-            _step_np(v_l[s], v_l[s - 1], v_l[s - 2], c, b, beta, beta2, None, tmp)
-            _step_np(v_c[s], v_c[s - 1], v_c[s - 2], c, d, beta, beta2, None, tmp)
-        _step_np(v[s], v[s - 1], v[s - 2], c, d, beta, beta2, drh, tmp)
+    rows = 3 if split else 1
+    fields = [np.zeros((L, L)) for _ in range(rows)]
+    flats = [f.reshape(-1) for f in fields]
+    cflat = np.ascontiguousarray(cells, dtype=float).reshape(-1)
+    K = _LAYER_BLOCK
+    tri = np.tri(K, dtype=bool)  # [ii - s0, r] of a block's first rows that lie in a layer
+    B, A, X, drive, tmp = (np.zeros((L + 1, rows)) for _ in range(5))
+    stage = np.empty((L, K, rows))  # marched layers of a block, by window row
+    dws = np.empty((L, K))  # their cell increments, by window row
+    fb = np.empty(L)
+    np.multiply(th2 * f0, tris, out=A[: L - 1, 0])
+    A[:, -1] = A[:, 0]  # v_C starts from v's layer 1, v_L from zero
+    for f, flat in enumerate(flats):
+        _layers(flat, L, 1, 1)[:, 0] = A[: L - 1, f]
+    for s0 in range(2, L, K):
+        k = min(K, L - s0)
+        dws[s0 - 2 :, :k] = _layers(cflat, L, s0 - 2, k)
+        for r in range(k):
+            s = s0 + r
+            c = L - s
+            bot = B[1 : c + 1, 0]
+            d = drive[:c, 0]
+            np.multiply(_f_eval_np(fid, p0, p1, bot, out=fb[:c]), th2, out=d)
+            d *= dws[s - 1 : L - 1, r]
+            if split:
+                drive[:c, 2] = d
+                b = drive[:c, 1]
+                np.multiply(bot, bcoef, out=b)
+                b *= 0.5
+                b *= eps
+                b *= eps
+            _step_np(X, A, B, c, drive[:c], beta, beta2, None, tmp)
+            np.multiply(bot, drh, out=fb[:c])
+            X[:c, 0] += fb[:c]
+            stage[s:, r] = X[:c]
+            B, A, X = A, X, B
+        for f, flat in enumerate(flats):
+            out = _layers(flat, L, s0, k)
+            out[k - 1 :] = stage[s0 + k - 1 :, :k, f]
+            np.copyto(out[: k - 1], stage[s0 : s0 + k - 1, :k, f], where=tri[: k - 1, :k])
     _finite(*fields)
     return fields
 

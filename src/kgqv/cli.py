@@ -80,8 +80,15 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is a usage error like any other: stderr
+        # starts with "error:", then the usage line, and the exit code is 2
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgqv",
         description="lattice experiments for a damped hyperbolic SPDE",
     )

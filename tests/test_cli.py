@@ -1,15 +1,20 @@
 """Command-line behavior: flag/config merging, exit codes, stream
 separation, and byte-level determinism across parallelism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqv import cli
 from kgqv.errors import NumericError
-from kgqv.experiments import ExperimentReport
+from kgqv.experiments import EXPERIMENT_IDS, ExperimentReport
 
 
 def run_main(args, capsys):
@@ -265,3 +270,82 @@ class TestDeterminism:
             blobs.append(self.stripped(r.stdout))
         assert blobs[0] == blobs[2]
         assert blobs[1] == blobs[3]
+
+
+# the smallest --n and --reps each experiment accepts, so a drawn config
+# that validates runs in about a second; quadvar_rate gets an n below its
+# minimum of 256, where one run takes seconds
+SMALLEST = {
+    "green_identities": (8, 1),
+    "kernel_lemma": (64, 1),
+    "linear_variance": (64, 500),
+    "remainder_rate": (128, 100),
+    "quadvar_rate": (128, 100),
+    "estimator_consistency": (128, 100),
+    "oracle_check": (8, 2),
+}
+VALID = {
+    "--a": ["0.5", "1.0"],
+    "--m": ["0.3", "0.5"],
+    "--theta": ["2.0", "1e200"],  # 1e200 blows up most fields: exit 3
+    "--diffusion": ["affine", "clipped_linear", "shifted_sine"],
+    "--seed": ["0", "3"],
+    "--jobs": ["1", "2", "3"],
+}
+INVALID = {
+    "--experiment": ["nope"],
+    "--n": ["0", "3", "x"],
+    "--reps": ["0", "-1"],
+    "--a": ["nan"],
+    "--m": ["inf"],
+    "--theta": ["0"],
+    "--diffusion": ["nope"],
+    "--seed": ["-1", str(2**64)],
+    "--jobs": ["0", "y"],
+}
+
+
+@st.composite
+def small_configs(draw):
+    """A small valid command line, with one flag made invalid half the time."""
+    exp = draw(st.sampled_from(EXPERIMENT_IDS))
+    n, reps = SMALLEST[exp]
+    flags = {"--experiment": exp, "--n": str(n), "--reps": str(reps)}
+    for flag, values in VALID.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            flags[flag] = value
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(INVALID)))
+        flags[flag] = draw(st.sampled_from(INVALID[flag]))
+    return ["run", *(word for item in flags.items() for word in item)]
+
+
+def _no_constant(name):
+    raise ValueError(f"stdout holds the non-JSON token {name}")
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_exit_code_and_streams(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main([*args, "--out", tmp])
+                except SystemExit as exc:  # argparse rejects a malformed flag
+                    rc = exc.code
+        assert rc in (0, 1, 2, 3)
+        if rc in (0, 1):
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+        else:
+            assert out.getvalue() == ""
+            # a usage error stops the run before its first progress line; a
+            # numeric failure may follow progress lines, which name the experiment
+            text = err.getvalue()
+            if rc == 3:
+                exp = args[args.index("--experiment") + 1]
+                while text.startswith(f"{exp}:"):
+                    text = text.split("\n", 1)[1]
+            assert text.startswith("error:"), err.getvalue()

@@ -112,6 +112,22 @@ class TestGenerate:
 
 
 class TestFillPins:
+    @pytest.mark.parametrize("i0", [-37, -36])
+    @pytest.mark.parametrize("sig_min", [None, 0])
+    def test_blocked_fill_matches_reference(self, i0, sig_min):
+        # 51 pair rows: three whole fill blocks, then a ragged one
+        rows = 6 * _kernels._FILL_PAIR_ROWS + 5
+        j0, cols = -9, 6
+        z = _kernels.lattice_normals(i0, j0, (rows, cols), 0, 77, sig_min=sig_min)
+        assert z.shape == (rows, cols)
+        for r in range(rows):
+            for c in range(cols):
+                i, j = i0 + r, j0 + c
+                if sig_min is None or i + j >= sig_min:
+                    assert z[r, c] == pytest.approx(ref_gauss(i, j, 0, 77), rel=1e-12)
+                else:
+                    assert z[r, c] == 0.0 and not np.signbit(z[r, c])
+
     @pytest.mark.parametrize("key", sorted(LATTICE_SHA256))
     def test_lattice_bytes_match_recorded_hash(self, key):
         skip_unless_recorded_numpy("test_philox's scalar reference checks (rel 1e-12)")
