@@ -373,14 +373,14 @@ def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
     beta, th2, drh = _rates(eps, a, m, theta)
     beta2 = beta * beta
     bcoef = 0.25 * a * a - m * m
-    rows = 3 if split else 1
-    fields = [np.zeros((L, L)) for _ in range(rows)]
+    nfield = 3 if split else 1
+    fields = [np.zeros((L, L)) for _ in range(nfield)]
     flats = [f.reshape(-1) for f in fields]
     cflat = np.ascontiguousarray(cells, dtype=float).reshape(-1)
     K = _LAYER_BLOCK
     tri = np.tri(K, dtype=bool)  # [ii - s0, r] of a block's first rows that lie in a layer
-    B, A, X, drive, tmp = (np.zeros((L + 1, rows)) for _ in range(5))
-    stage = np.empty((L, K, rows))  # marched layers of a block, by window row
+    B, A, X, drive, tmp = (np.zeros((L + 1, nfield)) for _ in range(5))
+    stage = np.empty((L, K, nfield))  # marched layers of a block, by window row
     dws = np.empty((L, K))  # their cell increments, by window row
     fb = np.empty(L)
     np.multiply(th2 * f0, tris, out=A[: L - 1, 0])
