@@ -114,7 +114,7 @@ def _f_eval(fid, p0, p1, x):
 
 
 def _f_eval_np(fid, p0, p1, x, out=None):
-    """F(x) elementwise, into `out` when given; bitwise what _f_eval gives per value."""
+    """F(x) elementwise, into `out` when given, else into a new array."""
     out = np.empty(np.shape(x)) if out is None else out
     if fid == FID_CONSTANT_ONE:
         out[...] = 1.0

@@ -245,7 +245,7 @@ class TestMarchAgainstReplay:
 # values, in that order, at PINNED_PARAMS.  F(u) = u keeps every field at
 # a pattern of signed zeros, so that case pins the -0.0 the split parts
 # keep (they never add 0*bot).  Recorded with numpy 2.4 (see test_noise)
-PINNED_PARAMS = PhysParams(a=1.0, m=0.7, theta=1.5, diffusion_id="affine")
+PINNED_PARAMS = PhysParams(a=1.0, m=0.7, theta=1.5)
 PINNED_COEFFICIENTS = {
     "shifted_sine": shifted_sine(),
     "affine": affine(),
