@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .errors import KgqvError, UsageError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run, summary_json, write_csv
@@ -116,8 +117,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args)
-        report = run(cfg)
-        text = summary_json(report)  # a numeric failure writes no file
+        with warnings.catch_warnings():
+            # an overflow ends in a NumericError on its non-finite result
+            # (exit 3); numpy's floating-point warnings would only put lines
+            # of their own on stderr ahead of the "error:" line
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = run(cfg)
+            text = summary_json(report)  # a numeric failure writes no file
         os.makedirs(cfg.out, exist_ok=True)
         write_csv(report, os.path.join(cfg.out, f"{cfg.experiment}.csv"))
         print(text)

@@ -224,6 +224,21 @@ class TestRuns:
         assert not out.exists()
 
 
+    def test_overflow_puts_only_progress_lines_before_the_error(self, tmp_path):
+        # the summary statistics overflow at theta = 1e200; numpy's warnings
+        # used to land on stderr between the progress line and the error.
+        # A fresh process shows them: pytest would record them instead
+        r = run_proc(
+            ["run", "--experiment", "remainder_rate", "--n", "128", "--reps", "100",
+             "--theta", "1e200", "--out", str(tmp_path)]
+        )
+        assert r.returncode == 3
+        assert r.stdout == ""
+        *progress, last = r.stderr.splitlines()
+        assert all(line.startswith("remainder_rate:") for line in progress), r.stderr
+        assert last.startswith("error:")
+
+
 class TestDeterminism:
     BASE = [
         "run", "--experiment", "linear_variance", "--n", "64",
