@@ -1,15 +1,21 @@
 """Harness-level behavior: config validation, chunked replication,
 report serialization.  Statistical verdicts live in test_acceptance."""
 
+import contextlib
+import hashlib
+import io
 import json
 import threading
 
 import numpy as np
 import pytest
+import scipy
 
-from kgqv import experiments
+from kgqv import cli, experiments
 from kgqv.errors import NumericError, UsageError
 from kgqv.experiments import ExperimentConfig, ExperimentReport
+
+from test_noise import skip_unless_recorded_numpy
 
 
 def report_stub(**over):
@@ -220,3 +226,48 @@ class TestSerialization:
             .read_text()
         )
         assert {int(k): v for k, v in fixture.items()} == experiments.ORACLE_THRESHOLDS
+
+
+# SHA-256 of the CSV and of the summary without wall_time_s (sort_keys,
+# indent 2, as summary_json writes it).  convolve2d and dblquad make these
+# bytes depend on the scipy build as well as on numpy's
+RECORDED_SCIPY = "1.17"
+RUN_SHA256 = {
+    ("oracle_check", "--reps", "2"): (
+        "e0aa9891b2dbe1fbd6e77b8c54a6f84ab8af7e3dce6b9a6f49c293041d249637",
+        "fcd1be7637f2da44eb3b2c81434720b20d0563dde88e3790fa89e95a15aae89e",
+    ),
+    ("kernel_lemma", "--n", "64"): (
+        "de47a9cb670e1029582c470130ec8ed2f4303143529b31fa8205fcf85d5693b4",
+        "8ae41b3265e1bd80bf0f06b9070a60497f1abbaad3c5a63af44501813e35e8e7",
+    ),
+}
+CHECKED_INSTEAD = {
+    "oracle_check": "test_solver's TestPicardOracle (march agreement to 1e-12 at a = m = 0)",
+    "kernel_lemma": "test_greens's TestKernelSecondDifference (closed form, rel 1e-8)",
+}
+
+
+class TestRecordedBytes:
+    @pytest.mark.parametrize("args", sorted(RUN_SHA256))
+    def test_run_bytes_match_recorded(self, args, tmp_path):
+        exp = args[0]
+        skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
+        version = ".".join(scipy.__version__.split(".")[:2])
+        if version != RECORDED_SCIPY:
+            pytest.skip(
+                f"hashes recorded with scipy {RECORDED_SCIPY}, running {version}: "
+                f"only {CHECKED_INSTEAD[exp]} checked the values"
+            )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["run", "--experiment", *args, "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        summary = json.loads(out.getvalue())
+        summary.pop("wall_time_s")
+        text = json.dumps(summary, sort_keys=True, indent=2)
+        got = (
+            hashlib.sha256((tmp_path / f"{exp}.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(text.encode()).hexdigest(),
+        )
+        assert got == RUN_SHA256[args]
