@@ -4,7 +4,7 @@
 config file plus flags (flags win), runs the experiment, writes one CSV
 into the output directory, and prints the JSON summary on stdout.
 Progress goes to stderr.  Exit codes: 0 all bounds met, 1 a bound
-failed, 2 usage problem, 3 numeric failure.
+failed, 2 usage problem (a help request included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ class _Parser(argparse.ArgumentParser):
         # a malformed command line is a usage error like any other: stderr
         # starts with "error:", then the usage line, and the exit code is 2
         self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        # -h/--help runs no experiment, and exit 0 promises a JSON summary on
+        # stdout: the help goes to stderr after an "error:" line, exit code 2
+        self.exit(2, f"error: help requested, no experiment was run\n{self.format_help()}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,8 @@ on an eps x eps diamond.  ``kernel_second_difference_lp`` integrates
 that second difference region by region (the strips where one shifted
 cone is missing, the common interior, and the diamond) by adaptive
 quadrature over the explicit polygonal bounds in characteristic offsets.
+That quadrature is scipy's ``dblquad``; scipy is imported in
+``_region_integrals`` alone, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError, UsageError
 
@@ -201,6 +202,8 @@ def _region_integrals(a: float, t: float, eps: float, p: float):
 
     with al = a / (2 sqrt(2)).
     """
+    from scipy import integrate
+
     al = a / (2.0 * _SQRT2)
     s_tot = _SQRT2 * t
     kappa = math.expm1(al * eps)

@@ -18,7 +18,9 @@ instead of the literal O(n^4) sum.
 The Picard oracle iterates the discretized mild equation instead, with
 the kernel held at cell centers, a deliberately different alignment, so
 scheme/oracle agreement is an O(eps) external check rather than a
-shared-code tautology.
+shared-code tautology.  Its sweeps are scipy's ``convolve2d``; scipy is
+imported in ``_picard_iterate`` alone, so importing this module loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from . import _kernels
 from .coords import RotPoint, RotatedGrid, to_rotated
@@ -195,6 +196,8 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
 
 @_kernels._quiet
 def _picard_iterate(params, F, noise, iterations):
+    from scipy import signal
+
     _check_noise(noise)
     if noise.grid.n > 16:
         raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")

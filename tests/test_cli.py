@@ -54,6 +54,17 @@ class TestUsageErrors:
             cli.main(["run", "--granularity", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["run", "-h"]])
+    def test_help_runs_nothing_and_keeps_stdout_empty(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        first, rest = captured.err.split("\n", 1)
+        assert first == "error: help requested, no experiment was run"
+        assert rest.startswith("usage: kgqv")
+
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "oracle_check", "epsilon": 0.1}))
@@ -364,3 +375,22 @@ class TestContract:
                 while text.startswith(f"{exp}:"):
                     text = text.split("\n", 1)[1]
             assert text.startswith("error:"), err.getvalue()
+
+
+class TestStartup:
+    def test_import_loads_no_scipy_and_the_oracles_still_run(self):
+        # scipy is imported by the two oracles that call it, not at start-up
+        code = """
+import sys
+import kgqv, kgqv.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+from kgqv import greens, noise, solver
+from kgqv.coords import RotatedGrid
+params = greens.PhysParams()
+u = solver.picard_oracle(params, solver.shifted_sine(), noise.generate(RotatedGrid(8), 3))
+assert u.values.shape == (17, 17)
+assert greens.kernel_second_difference_lp(1.0, 1.0, 0.0, 1.0 / 16, 2.0) > 0.0
+"""
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
