@@ -1,9 +1,7 @@
 """Harness-level behavior: config validation, chunked replication,
 report serialization.  Statistical verdicts live in test_acceptance."""
 
-import contextlib
 import hashlib
-import io
 import json
 import threading
 
@@ -249,8 +247,8 @@ CHECKED_INSTEAD = {
 
 
 class TestRecordedBytes:
-    @pytest.mark.parametrize("args", sorted(RUN_SHA256))
-    def test_run_bytes_match_recorded(self, args, tmp_path):
+    @pytest.mark.parametrize("args", sorted(RUN_SHA256), ids=" ".join)
+    def test_run_bytes_match_recorded(self, args, tmp_path, capsys):
         exp = args[0]
         skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
         version = ".".join(scipy.__version__.split(".")[:2])
@@ -259,11 +257,9 @@ class TestRecordedBytes:
                 f"hashes recorded with scipy {RECORDED_SCIPY}, running {version}: "
                 f"only {CHECKED_INSTEAD[exp]} checked the values"
             )
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(["run", "--experiment", *args, "--out", str(tmp_path)])
+        rc = cli.main(["run", "--experiment", *args, "--out", str(tmp_path)])
         assert rc in (0, 1)
-        summary = json.loads(out.getvalue())
+        summary = json.loads(capsys.readouterr().out)
         summary.pop("wall_time_s")
         text = json.dumps(summary, sort_keys=True, indent=2)
         got = (
