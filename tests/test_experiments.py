@@ -227,10 +227,28 @@ class TestSerialization:
 
 
 # SHA-256 of the CSV and of the summary without wall_time_s (sort_keys,
-# indent 2, as summary_json writes it).  convolve2d and dblquad make these
-# bytes depend on the scipy build as well as on numpy's
+# indent 2, as summary_json writes it), at seed 0.  convolve2d and dblquad
+# make the oracle_check and kernel_lemma bytes depend on the scipy build as
+# well as on numpy's
 RECORDED_SCIPY = "1.17"
+SCIPY_EXPERIMENTS = ("oracle_check", "kernel_lemma")
 RUN_SHA256 = {
+    ("linear_variance", "--n", "64", "--reps", "500"): (
+        "dd13fcb3c08d9a52baf391b168d3cd87d826a8a622bd5bd16b8383af931a1449",
+        "3ed65a0c2833c29fdb17ac191957a5ed4483c3a1e5a385d461972fdfe21f8eb6",
+    ),
+    ("remainder_rate", "--n", "128", "--reps", "100"): (
+        "7b36297c8757144dd85076442a541d7afcec1f9788fd4e8723cc420b440a3bd1",
+        "651822798579e125ba59c814a8eda9148c88475889b857c2c9030a7cf447b7ec",
+    ),
+    ("quadvar_rate", "--n", "256", "--reps", "100"): (
+        "63035d1437c3973792082e638545f229ffb6b73095ccae3a5f769b1d95c9af9a",
+        "be192e4c837862f0d2c40df1f791507dd40eb6c109f0f8153b344059c5be4240",
+    ),
+    ("estimator_consistency", "--n", "128", "--reps", "100"): (
+        "420c5b3b99adce69adc9bb57782faeebe716a1426c6941ef9027fc33b1661f72",
+        "e0d8ed6eb7725d9760d3fa8b7c6fd587810933313efe5796f52bde3b21c4665e",
+    ),
     ("oracle_check", "--reps", "2"): (
         "e0aa9891b2dbe1fbd6e77b8c54a6f84ab8af7e3dce6b9a6f49c293041d249637",
         "fcd1be7637f2da44eb3b2c81434720b20d0563dde88e3790fa89e95a15aae89e",
@@ -241,6 +259,10 @@ RUN_SHA256 = {
     ),
 }
 CHECKED_INSTEAD = {
+    "linear_variance": "test_kernels' test_march_points_matches_window_march (bit for bit, n=8)",
+    "remainder_rate": "test_kernels' test_march_points_matches_window_march (bit for bit, n=8)",
+    "quadvar_rate": "test_kernels' test_march_qv_matches_window_reductions (bit for bit)",
+    "estimator_consistency": "test_kernels' test_march_qv_matches_window_reductions (bit for bit)",
     "oracle_check": "test_solver's TestPicardOracle (march agreement to 1e-12 at a = m = 0)",
     "kernel_lemma": "test_greens's TestKernelSecondDifference (closed form, rel 1e-8)",
 }
@@ -252,7 +274,7 @@ class TestRecordedBytes:
         exp = args[0]
         skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
         version = ".".join(scipy.__version__.split(".")[:2])
-        if version != RECORDED_SCIPY:
+        if exp in SCIPY_EXPERIMENTS and version != RECORDED_SCIPY:
             pytest.skip(
                 f"hashes recorded with scipy {RECORDED_SCIPY}, running {version}: "
                 f"only {CHECKED_INSTEAD[exp]} checked the values"

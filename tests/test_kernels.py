@@ -14,6 +14,8 @@ march_window after, and only a power of two makes that regrouping
 exact.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ from kgqv import _kernels, analysis, noise
 from kgqv.errors import NumericError, UsageError
 from kgqv.coords import RotatedGrid
 from kgqv.greens import PhysParams
-from kgqv.solver import affine, clipped_linear, march, march_linear, march_split, shifted_sine
+from kgqv.solver import (
+    affine, clipped_linear, constant_one, march, march_linear, march_split, shifted_sine,
+)
+
+from test_noise import skip_unless_recorded_numpy
 
 SEEDS = np.array([2**32 + 7, 2**40 + 123, 2**63 + 5, 2**64 - 2], dtype=np.uint64)
 
@@ -194,3 +200,44 @@ def test_blown_up_marches_raise_numeric_error():
             SEEDS, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1e200,
             F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j,
         )
+
+
+# SHA-256 of the kernel rows for 300 seeds from 2^40 + 11 (numpy 2.4):
+# march_points with F = shifted_sine on a window whose points include layer
+# 1, and march_qv on the full [0, N]^2 window
+ROW_SEEDS = np.uint64(2**40 + 11) + np.arange(300, dtype=np.uint64)
+POINTS_SHA256 = {
+    (16, False): "eb98fce5d04fe659e5ecc140008bb830dadc10911aeb6fae8b2cb49dcf65eff9",
+    (16, True): "ea6126c51583aa62dbf2b5ac817c7a79b539afe893eff502b9b7adfa5f577443",
+    (64, False): "8b6d1d79d85dd44bdefd1e896a209370b78fdaf52006ce1903d59e0ac3873067",
+    (64, True): "83d6d2e1ca895150d0e602d7dd017dd808a43aa645e575bc7aac02275ebbb891",
+}
+QV_SHA256 = {
+    (16, "shifted_sine"): "7afbe930e34b56549aa30c2223d9c802f0100b3fc8bccac28670e7a817371ca0",
+    (16, "constant_one"): "843eaa3afd1a0adcb250b3cd9df75b5fbf1d9e4e061726782eee9d4fcb52a5dd",
+    (64, "shifted_sine"): "b7a4577fd64da42499c3892cc8efae1ed6eebf802b10823fa9eb641733dcd585",
+    (64, "constant_one"): "64c6a70fa2e68cfef5e563cd8e73ff1f834561aadc363bdb05338aeba505dc90",
+}
+
+
+@pytest.mark.parametrize("n,coupled", sorted(POINTS_SHA256))
+def test_march_points_rows_match_recorded(n, coupled):
+    skip_unless_recorded_numpy("test_march_points_matches_window_march (bit for bit, n=8)")
+    F = shifted_sine()
+    grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 3)
+    pts_i, pts_j = window_points(grid)
+    keep = (pts_i + pts_j <= 2) | ((3 * pts_i + pts_j) % 13 == 0)
+    out = _kernels.march_points(
+        ROW_SEEDS, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
+        F.fid, F.p0, F.p1, F(0.0), pts_i[keep], pts_j[keep],
+        coupled=coupled, cell_i=n // 4, cell_j=n // 4 - 1,
+    )
+    assert hashlib.sha256(out.tobytes()).hexdigest() == POINTS_SHA256[n, coupled]
+
+
+@pytest.mark.parametrize("N,F", sorted(QV_SHA256))
+def test_march_qv_rows_match_recorded(N, F):
+    skip_unless_recorded_numpy("test_march_qv_matches_window_reductions (bit for bit, N=4 and 16)")
+    F = {"shifted_sine": shifted_sine, "constant_one": constant_one}[F]()
+    out = _kernels.march_qv(ROW_SEEDS, N, 2.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == QV_SHA256[N, F.id]
