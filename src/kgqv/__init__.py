@@ -10,15 +10,12 @@ quadratic-variation limit, and a plug-in estimator of theta.
 
 from .analysis import (
     IncrementL2,
-    QuadVarReport,
     SlopeFit,
     estimate_theta,
     fit_loglog,
     limit_functional,
-    linear_increment_l2,
     lp_norm_mc,
     quad_var,
-    quad_var_report,
     remainder,
 )
 from .coords import PhysPoint, RotatedGrid, RotPoint, to_physical, to_rotated
@@ -64,11 +61,8 @@ __all__ = [
     "lp_norm_mc",
     "quad_var",
     "limit_functional",
-    "quad_var_report",
     "estimate_theta",
-    "linear_increment_l2",
     "fit_loglog",
-    "QuadVarReport",
     "SlopeFit",
     "IncrementL2",
     "__version__",

@@ -5,6 +5,9 @@ layer at a time through one cell step, _step_np, on contiguous layer
 buffers reused from layer to layer: (slot, replication) blocks in the
 replication kernels, (slot, field) blocks in the stored-window marches,
 which read and write their L x L windows _LAYER_BLOCK layers at a time.
+The two replication kernels share one layer loop, _march_layers:
+march_points records points and a cell increment from the layers it
+yields, march_qv adds up Q_N and the sum of F^2.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
@@ -95,22 +98,6 @@ def _rates(eps, a, m, theta):
     """Cell decay beta, noise weight theta/2 and drift weight b eps^2/2."""
     beta = math.exp(-a * eps / (2.0 * _SQRT2))
     return beta, 0.5 * theta, 0.5 * (0.25 * a * a - m * m) * eps * eps
-
-
-def _f_eval(fid, p0, p1, x):
-    if fid == FID_CONSTANT_ONE:
-        return 1.0
-    if fid == FID_AFFINE:
-        return p0 + p1 * x
-    if fid == FID_SHIFTED_SINE:
-        return p0 + p1 * math.sin(x)
-    # clipped_linear: clip(x, -p0, p0) + p1
-    y = x
-    if y > p0:
-        y = p0
-    elif y < -p0:
-        y = -p0
-    return y + p1
 
 
 def _f_eval_np(fid, p0, p1, x, out=None):
@@ -431,6 +418,50 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 # batched marching with in-kernel noise (replication workhorses)
 
 
+def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
+    """One march per seed, yielded layer by layer: s, X, A, B, fb, dw, X2.
+
+    X is layer s = 1 .. L-1, A and B the two layers before it, all
+    (slot k, replication) buffers of which the first c = L - s slots of X
+    are live; fb = F(B[1 : c+1]) and dw are the c bottom coefficients and
+    cell increments of the layer, and X2 the coupled linear field
+    (F ident 1, theta 1, same noise) when `coupled`, else None.  Layer 1
+    comes from the boundary triangles: its cells have their bottoms below
+    the initial line, so its dw is zero.  Buffers are reused, so a layer
+    must be read before the next one is asked for.
+    """
+    beta, th2, drh = _rates(eps, a, m, theta)
+    beta2 = beta * beta
+    tri = eps / _SQRT2
+    R = seeds.shape[0]
+    noise = _LayerNoise(seeds, L - 1)
+    B, A, X = (np.zeros((L + 1, R)) for _ in range(3))
+    B2, A2, X2 = (np.zeros((L + 1, R)) for _ in range(3)) if coupled else (None,) * 3
+    dw_buf = np.zeros((L, R))
+    fb_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
+    z1 = noise.draw(1, i_min + 1, L - 1, 1)
+    X[: L - 1] = th2 * f0 * tri * z1
+    if coupled:
+        X2[: L - 1] = 0.5 * tri * z1
+    for s in range(1, L):
+        c = L - s
+        fb = _f_eval_np(fid, p0, p1, B[1 : c + 1], out=fb_buf[:c])
+        dw = dw_buf[:c]
+        if s > 1:
+            np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw)
+            drive = drive_buf[:c]
+            np.multiply(fb, th2, out=drive)
+            drive *= dw
+            _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
+            if coupled:
+                np.multiply(dw, 0.5, out=drive)
+                _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
+        yield s, X, A, B, fb, dw, X2
+        B, A, X = A, X, B
+        if coupled:
+            B2, A2, X2 = A2, X2, B2
+
+
 @_quiet
 def march_points(
     seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
@@ -447,49 +478,22 @@ def march_points(
     seeds = _seed_array(seeds)
     pts_i = np.ascontiguousarray(pts_i, dtype=np.int64)
     pts_j = np.ascontiguousarray(pts_j, dtype=np.int64)
-    beta, th2, drh = _rates(eps, a, m, theta)
-    beta2 = beta * beta
-    tri = eps / _SQRT2
-    # layer arrays are (slot k, replication), so every slice is contiguous
-    R = seeds.shape[0]
     K = pts_i.shape[0]
-    noise = _LayerNoise(seeds, L - 1)
-    out = np.zeros((R, 2 * K + 1))
+    out = np.zeros((seeds.shape[0], 2 * K + 1))
+    # the requested points by layer, as (column, slot)
+    at_layer = {}
+    for t in range(K):
+        at_layer.setdefault(int(pts_i[t] + pts_j[t]), []).append((t, -i_min - int(pts_j[t])))
     cell_s = cell_i + cell_j + 2
     cell_k = -i_min - (cell_j + 1)
-    B, A, X, B2, A2, X2 = (np.zeros((L + 1, R)) for _ in range(6))
-    dw_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
-    z1 = noise.draw(1, i_min + 1, L - 1, 1)
-    A[: L - 1] = th2 * f0 * tri * z1
-    if coupled:
-        A2[: L - 1] = 0.5 * tri * z1
-    for t in range(K):
-        if pts_i[t] + pts_j[t] == 1:
-            kt = -i_min - pts_j[t]
-            out[:, t] = A[kt]
-            if coupled:
-                out[:, K + t] = A2[kt]
-    for s in range(2, L):
-        c = L - s
-        dw = dw_buf[:c]
-        np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw)
-        drive = drive_buf[:c]
-        np.multiply(_f_eval_np(fid, p0, p1, B[1 : c + 1]), th2, out=drive)
-        drive *= dw
-        _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
-        if coupled:
-            np.multiply(dw, 0.5, out=drive)
-            _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
-        if s == cell_s and 0 <= cell_k < c:
+    layers = _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled)
+    for s, X, _, _, _, dw, X2 in layers:
+        if s == cell_s and 0 <= cell_k < L - s:
             out[:, 2 * K] = dw[cell_k]
-        for t in range(K):
-            if pts_i[t] + pts_j[t] == s:
-                kt = -i_min - pts_j[t]
-                out[:, t] = X[kt]
-                if coupled:
-                    out[:, K + t] = X2[kt]
-        B, A, X = A, X, B
-        B2, A2, X2 = A2, X2, B2
+        for t, kt in at_layer.get(s, ()):
+            out[:, t] = X[kt]
+            if coupled:
+                out[:, K + t] = X2[kt]
     _finite(out)
     return out
 
@@ -507,41 +511,21 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
     seeds.
     """
     seeds = _seed_array(seeds)
-    eps = 1.0 / N
-    beta, th2, drh = _rates(eps, a, m, theta)
-    beta2 = beta * beta
-    # layer arrays are (slot k, replication), as in march_points
     L = 2 * N + 1
-    i_min = -N
-    R = seeds.shape[0]
-    noise = _LayerNoise(seeds, L - 1)
-    out = np.zeros((R, 2))
-    B, A, X = (np.zeros((L + 1, R)) for _ in range(3))
-    dw_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
-    A[: L - 1] = th2 * f0 * (eps / _SQRT2) * noise.draw(1, i_min + 1, L - 1, 1)
-    qn = np.zeros(R)
-    sf = np.zeros(R)
-    for s in range(2, L):
-        c = L - s
-        dw = dw_buf[:c]
-        np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw)
-        fb = _f_eval_np(fid, p0, p1, B[1 : c + 1])
-        drive = drive_buf[:c]
-        np.multiply(fb, th2, out=drive)
-        drive *= dw
-        _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
+    qn = np.zeros(seeds.shape[0])
+    sf = np.zeros(seeds.shape[0])
+    layers = _march_layers(seeds, L, -N, 1.0 / N, a, m, theta, fid, p0, p1, f0, False)
+    for s, X, A, B, fb, _, _ in layers:
         # slots k whose cell bottom (s - 1 - N + k, N - 1 - k) is in [0, N)^2
         lo = max(0, N + 1 - s)
-        hi = min(c, N)
+        hi = min(L - s, N)
         if lo < hi:
             dd = X[lo:hi] - A[lo:hi] - A[lo + 1 : hi + 1] + B[lo + 1 : hi + 1]
             # add the layer's cells one at a time in slot order, whatever
             # the chunk size (np.sum would go pairwise for a single row)
             qn += np.add.accumulate(dd * dd, axis=0)[-1]
-            fb = fb[lo:hi]
-            sf += np.add.accumulate(fb * fb, axis=0)[-1]
-        B, A, X = A, X, B
-    out[:, 0] = qn
-    out[:, 1] = sf
+            f = fb[lo:hi]
+            sf += np.add.accumulate(f * f, axis=0)[-1]
+    out = np.column_stack([qn, sf])
     _finite(out)
     return out

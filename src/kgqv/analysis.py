@@ -27,14 +27,6 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class QuadVarReport:
-    n: int
-    q_n: float
-    limit_value: float
-    abs_error: float
-
-
-@dataclass(frozen=True)
 class SlopeFit:
     slope: float
     stderr: float
@@ -141,12 +133,6 @@ def limit_functional(field: FieldSample, F: DiffusionCoefficient) -> float:
     return 0.25 * float(np.sum(F(b) ** 2)) / (n * n)
 
 
-def quad_var_report(field: FieldSample, F: DiffusionCoefficient) -> QuadVarReport:
-    q = quad_var(field)
-    lim = limit_functional(field, F)
-    return QuadVarReport(n=field.grid.n, q_n=q, limit_value=lim, abs_error=abs(q - lim))
-
-
 def estimate_theta(field: FieldSample, F: DiffusionCoefficient) -> float:
     """sqrt(4 N^2 Q_N / sum F^2(v)) over the unit square."""
     b = _unit_block(field)[:-1, :-1]
@@ -204,20 +190,6 @@ def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:
         eps=eps, raw=raw, raw_se=raw_se,
         conditional=cond, conditional_se=cond_se, replications=replications,
     )
-
-
-def linear_increment_l2(
-    params: PhysParams,
-    eps: float,
-    point: RotPoint,
-    replications: int,
-    master_seed: int = 0,
-) -> IncrementL2:
-    """MC estimate of the L2 norm of the linear field's double increment."""
-    if replications < 100:
-        raise UsageError(f"need at least 100 replications, got {replications}")
-    seeds = np.uint64(master_seed) + np.arange(replications, dtype=np.uint64)
-    return increment_l2_from_samples(eps, increment_samples(params, eps, point, seeds))
 
 
 def fit_loglog(x, y) -> SlopeFit:

@@ -31,15 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coords import RotPoint, RotatedGrid, to_rotated
+from .coords import RotatedGrid, to_rotated
 from .errors import OracleError, UsageError
 from .greens import PhysParams
 from .noise import NoiseField
 
 _SQRT2 = math.sqrt(2.0)
-
-FIELD_KINDS = ("nonlinear", "linear", "drift_part", "critical_part")
-
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
@@ -58,7 +55,7 @@ class DiffusionCoefficient:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return _kernels._f_eval_np(self.fid, self.p0, self.p1, x)
-        return float(_kernels._f_eval(self.fid, self.p0, self.p1, float(x)))
+        return float(_kernels._f_eval_np(self.fid, self.p0, self.p1, float(x)))
 
 
 def constant_one() -> DiffusionCoefficient:
@@ -112,33 +109,13 @@ class FieldSample:
         self.grid.require_index(i, j)
         return float(self.values[i - self.grid.i_min, j - self.grid.j_min])
 
-    def rot_function(self):
-        """Callable on grid-aligned RotPoints (for stencil helpers)."""
-
-        def f(q: RotPoint) -> float:
-            i, j = self.grid.index_of(q)
-            return self.value(i, j)
-
-        return f
-
     def phys_function(self):
-        rot = self.rot_function()
+        """Callable on physical points that map onto the lattice."""
 
         def f(p) -> float:
-            return rot(to_rotated(p))
+            return self.value(*self.grid.index_of(to_rotated(p)))
 
         return f
-
-    def to_csv(self, path) -> None:
-        g = self.grid
-        with open(path, "w", newline="") as fh:
-            fh.write("i,j,tau,lambda,value\n")
-            for i in range(g.i_min, g.i_max + 1):
-                for j in range(max(g.j_min, -i), g.j_max + 1):
-                    fh.write(
-                        "%d,%d,%.17g,%.17g,%.17g\n"
-                        % (i, j, i * g.eps, j * g.eps, self.value(i, j))
-                    )
 
 
 def _check_noise(noise: NoiseField) -> None:
@@ -252,10 +229,3 @@ def picard_oracle(
     u.setflags(write=False)
     return FieldSample(noise.grid, u, params, "nonlinear")
 
-
-def picard_deltas(
-    params: PhysParams, F: DiffusionCoefficient, noise: NoiseField, iterations=None
-) -> np.ndarray:
-    """Successive sup-norm differences of the oracle sweeps (diagnostics)."""
-    _, deltas = _picard_iterate(params, F, noise, iterations)
-    return deltas

@@ -10,10 +10,8 @@ from kgqv.analysis import (
     estimate_theta,
     fit_loglog,
     limit_functional,
-    linear_increment_l2,
     lp_norm_mc,
     quad_var,
-    quad_var_report,
     remainder,
 )
 from kgqv.coords import RotatedGrid, RotPoint
@@ -183,18 +181,6 @@ class TestLimitFunctional:
             0.25 * c * c, rel=1e-14
         )
 
-    def test_report_consistency(self):
-        nf = noise.generate(RotatedGrid(16), 5)
-        v = march(PhysParams(), shifted_sine(), nf)
-        rep = quad_var_report(v, shifted_sine())
-        assert rep.n == 16
-        assert rep.q_n == pytest.approx(quad_var(v), rel=1e-15)
-        assert rep.limit_value == pytest.approx(
-            limit_functional(v, shifted_sine()), rel=1e-15
-        )
-        assert rep.abs_error == pytest.approx(abs(rep.q_n - rep.limit_value), rel=1e-15)
-        assert rep.q_n >= 0.0
-
 
 class TestEstimateTheta:
     def test_scale_equivariance(self):
@@ -226,10 +212,16 @@ class TestEstimateTheta:
         assert abs(got - 2.0) < 0.05
 
 
+def increment_l2(params, eps, replications, master_seed=0):
+    seeds = np.uint64(master_seed) + np.arange(replications, dtype=np.uint64)
+    samples = analysis.increment_samples(params, eps, RotPoint(0.5, 0.5), seeds)
+    return analysis.increment_l2_from_samples(eps, samples)
+
+
 class TestLinearIncrement:
     def test_raw_near_half_eps(self):
         params = PhysParams(a=1.0, m=0.5)
-        inc = linear_increment_l2(params, 1.0 / 32, RotPoint(0.5, 0.5), 4000, 9)
+        inc = increment_l2(params, 1.0 / 32, 4000, 9)
         assert abs(inc.raw - 0.5 / 32) < 4 * inc.raw_se + 0.01 / 32
         assert abs(inc.conditional - inc.raw) < 5 * (inc.raw_se + inc.conditional_se)
 
@@ -237,7 +229,7 @@ class TestLinearIncrement:
         params = PhysParams(a=1.0, m=0.5)
         devs = []
         for n in (8, 16, 32):
-            inc = linear_increment_l2(params, 1.0 / n, RotPoint(0.5, 0.5), 4000, 9)
+            inc = increment_l2(params, 1.0 / n, 4000, 9)
             devs.append(inc.conditional_deviation)
         fit = fit_loglog([1.0 / 8, 1.0 / 16, 1.0 / 32], devs)
         assert fit.slope > 1.4
@@ -245,9 +237,9 @@ class TestLinearIncrement:
     def test_validation(self):
         params = PhysParams()
         with pytest.raises(UsageError):
-            linear_increment_l2(params, 1.0 / 16, RotPoint(0.5, 0.5), 50)
+            increment_l2(params, 1.0 / 16, 50)
         with pytest.raises(UsageError):
-            linear_increment_l2(params, 0.3, RotPoint(0.5, 0.5), 500)
+            increment_l2(params, 0.3, 500)
 
 
 class TestFitLoglog:
