@@ -1,8 +1,10 @@
-"""Derived statistics: linearization remainders, quadratic variation,
-the limit functional, and the diffusion-parameter estimator.
+"""Derived statistics: linearization remainders, L^p norms of Monte
+Carlo samples, the linear field's double increments, quadratic
+variation, the limit functional, the diffusion-parameter estimator, and
+log-log slope fits.
 
-Monte Carlo estimates carry delta-method standard errors.  The linear
-double-increment routine reports two estimators of the same L2 norm:
+Monte Carlo estimates carry delta-method standard errors.
+``increment_l2_from_samples`` reports two estimators of the same L2 norm:
 the raw one, sqrt(mean of squared increments), and a conditional one
 that subtracts the exactly-known diamond term before averaging.  Both
 have the same limit eps/2; the conditional one removes the dominant
@@ -40,11 +42,6 @@ class IncrementL2:
     raw_se: float
     conditional: float
     conditional_se: float
-    replications: int
-
-    @property
-    def raw_deviation(self) -> float:
-        return abs(self.raw - 0.5 * self.eps)
 
     @property
     def conditional_deviation(self) -> float:
@@ -84,22 +81,19 @@ def remainder(
     return dd(v) - F(v.value(i, j)) * dd(V)
 
 
-def lp_norm_mc(sampler, p: float, replications: int):
+def lp_norm_mc(x, p: float):
     """((1/R) sum |X_r|^p)^(1/p) with a delta-method standard error.
 
-    `sampler(count)` must return that many independent draws.
+    `x` holds R independent draws.
     """
+    x = np.asarray(x, dtype=float).ravel()
+    replications = x.shape[0]
     if replications < 100:
         raise UsageError(f"need at least 100 replications, got {replications}")
     if p < 1:
         raise UsageError(f"p must be at least 1, got {p}")
-    x = np.asarray(sampler(replications), dtype=float).ravel()
-    if x.shape[0] != replications:
-        raise UsageError(
-            f"sampler returned {x.shape[0]} values, expected {replications}"
-        )
     if not np.all(np.isfinite(x)):
-        raise NumericError("sampler produced non-finite values")
+        raise NumericError("sample holds non-finite values")
     ap = np.abs(x) ** p
     mp = float(ap.mean())
     if mp == 0.0:
@@ -180,7 +174,7 @@ def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:
     if replications < 100:
         raise UsageError(f"need at least 100 replications, got {replications}")
     dd = samples[:, 0]
-    raw, raw_se = lp_norm_mc(lambda r: dd, 2.0, replications)
+    raw, raw_se = lp_norm_mc(dd, 2.0)
     c = dd - 0.5 * samples[:, 1]
     mc2 = float(np.mean(c * c))
     cond = math.sqrt(0.25 * eps * eps + mc2)
@@ -188,7 +182,7 @@ def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:
     cond_se = se_mc2 / (2.0 * cond)
     return IncrementL2(
         eps=eps, raw=raw, raw_se=raw_se,
-        conditional=cond, conditional_se=cond_se, replications=replications,
+        conditional=cond, conditional_se=cond_se,
     )
 
 

@@ -18,22 +18,24 @@ import warnings
 from .errors import KgqvError, UsageError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run, summary_json, write_csv
 
-_CONFIG_KEYS = {
-    "experiment": str,
-    "a": float,
-    "m": float,
-    "theta": float,
-    "diffusion": str,
-    "n": int,
-    "reps": int,
-    "seed": int,
-    "out": str,
-    "jobs": int,
+# the run keys, each both a `kgqv run` flag and a config-file key:
+# key -> (type, help text)
+_RUN_KEYS = {
+    "experiment": (str, "experiment identifier"),
+    "a": (float, "damping coefficient"),
+    "m": (float, "mass parameter"),
+    "theta": (float, "diffusion scale"),
+    "diffusion": (str, "diffusion coefficient identifier"),
+    "n": (int, "finest resolution, a power of two"),
+    "reps": (int, "replications per configuration"),
+    "seed": (int, "master seed"),
+    "out": (str, "output directory for the CSV"),
+    "jobs": (int, "worker threads"),
 }
 
 
 def _coerce(key: str, value):
-    want = _CONFIG_KEYS[key]
+    want = _RUN_KEYS[key][0]
     # bool is an int subtype; reject it before the numeric branches
     if isinstance(value, bool):
         raise UsageError(f"config key {key!r} must be a {want.__name__}, got a boolean")
@@ -62,7 +64,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError("config file must hold a single JSON object")
     merged = {}
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _RUN_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, value)
     return merged
@@ -72,7 +74,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {}
     if args.config is not None:
         merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _RUN_KEYS:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
@@ -104,17 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one verification experiment",
         description="Experiments: " + ", ".join(EXPERIMENT_IDS),
     )
-    runp.add_argument("--experiment", help="experiment identifier")
-    runp.add_argument("--config", help="flat JSON config file; flags override it")
-    runp.add_argument("--a", type=float, help="damping coefficient")
-    runp.add_argument("--m", type=float, help="mass parameter")
-    runp.add_argument("--theta", type=float, help="diffusion scale")
-    runp.add_argument("--diffusion", help="diffusion coefficient identifier")
-    runp.add_argument("--n", type=int, help="finest resolution, a power of two")
-    runp.add_argument("--reps", type=int, help="replications per configuration")
-    runp.add_argument("--seed", type=int, help="master seed")
-    runp.add_argument("--out", help="output directory for the CSV")
-    runp.add_argument("--jobs", type=int, help="worker threads")
+    for key, (kind, text) in _RUN_KEYS.items():
+        runp.add_argument(f"--{key}", type=kind, help=text)
+        if key == "experiment":  # --config comes second in the usage line
+            runp.add_argument("--config", help="flat JSON config file; flags override it")
     return parser
 
 

@@ -57,7 +57,9 @@ _SEED_LIMIT = _kernels._SEED_LIMIT
 # marching-scheme vs fixed-point-oracle sup-norm ceilings: measured
 # 0.0644 at n=8 and 0.0362 at n=16 over the five default seeds at
 # default parameters, frozen with ~1.5x headroom (mirrored in
-# tests/fixtures/oracle_thresholds.json)
+# tests/fixtures/oracle_thresholds.json).  --reps sets the number of
+# seeds and the verdict takes the worst, so other or more seeds may
+# exceed a ceiling: --reps 20 reaches 0.1235 at n=8 (seed 7)
 ORACLE_THRESHOLDS = {8: 0.10, 16: 0.055}
 
 _REMAINDER_POINTS = (RotPoint(0.25, 0.25), RotPoint(0.5, 0.5), RotPoint(0.75, 0.25))
@@ -173,7 +175,7 @@ def _xi_sweep(a: float, m: float):
     xis = [0.0, 0.1, 0.3, 1.0, 3.7, 11.0]
     gap2 = 0.25 * a * a - m * m
     if gap2 > 0:
-        # straddle the regime boundary at coarse, fine, and sub-series
+        # straddle the z = 0 branch boundary at coarse, fine, and sub-series
         # offsets; the last lands inside the unified form's series window
         k = math.sqrt(gap2)
         for d in (1e-3, 1e-7, 1e-9):
@@ -434,7 +436,7 @@ def _run_remainder_rate(cfg: ExperimentConfig):
             for eps in eps_list:
                 k = int(round(eps * n))
                 r = dd(v_block, i, j, k, sign) - base * dd(lin_block, i, j, k, sign)
-                norm, se = analysis.lp_norm_mc(lambda _: r, 2.0, reps)
+                norm, se = analysis.lp_norm_mc(r, 2.0)
                 norms.append(norm)
                 rows.append((p_idx, q.tau, q.lam, sign, eps, norm, se))
             fit = analysis.fit_loglog(eps_list, norms)

@@ -1,4 +1,6 @@
-"""Green function of the damped Klein-Gordon operator, Fourier side.
+"""Equation parameters and the Green function of the damped Klein-Gordon
+operator: the Fourier-side evaluators and the kernel-increment quadrature
+behind the ``green_identities`` and ``kernel_lemma`` experiments.
 
 For d_tt + a d_t + (xi^2 + m^2) acting on the spatial Fourier transform,
 the fundamental solution with G(0)=0, G'(0)=1 is
@@ -18,15 +20,14 @@ that second difference region by region (the strips where one shifted
 cone is missing, the common interior, and the diamond) by adaptive
 quadrature over the explicit polygonal bounds in characteristic offsets.
 That quadrature is scipy's ``dblquad``; scipy is imported in
-``_region_integrals`` alone, so importing this module loads numpy only.
+``_region_integrals`` alone, so importing this module loads only the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, QuadratureError, UsageError
 
@@ -70,19 +71,6 @@ class PhysParams:
         """Coefficient of the linear drift b(x) = (a^2/4 - m^2) x."""
         return 0.25 * self.a * self.a - self.m * self.m
 
-    @property
-    def critically_damped(self) -> bool:
-        return self.drift_coef == 0.0
-
-
-def regime(a: float, m: float, xi: float) -> str:
-    z = xi * xi + m * m - 0.25 * a * a
-    if z > 0:
-        return "oscillatory"
-    if z < 0:
-        return "hyperbolic"
-    return "critical"
-
 
 def fourier_green_branch(a: float, m: float, t: float, xi: float) -> float:
     """Piecewise evaluator choosing the branch by the sign of z."""
@@ -124,68 +112,6 @@ def fourier_green_unified(a: float, m: float, t: float, xi: float) -> float:
         return damp * math.sin(t * r) / r
     r = math.sqrt(-z)
     return damp * math.sinh(t * r) / r
-
-
-@dataclass(frozen=True)
-class SpectralNorm:
-    value: float
-    tail_bound: float
-
-
-def l2_spectral_norm(
-    a: float, m: float, t: float, cutoff: float, step: float
-) -> SpectralNorm:
-    """Composite-Simpson estimate of the xi-integral of FG(t, .)^2.
-
-    The integrand is even, so twice the [0, cutoff] integral is
-    returned, together with the analytic tail bound
-    2 exp(-a t) * int_cutoff^inf dxi / (xi^2 + m^2 - a^2/4)
-    as an error estimate.  A cutoff inside the hyperbolic band
-    (xi^2 < a^2/4 - m^2) cannot bound the tail and raises.
-    """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if cutoff <= 0 or step <= 0:
-        raise UsageError("cutoff and step must be positive")
-    ksq = 0.25 * a * a - m * m
-    kk = math.sqrt(ksq) if ksq > 0 else 0.0
-    if cutoff <= 2 * kk:
-        raise QuadratureError(
-            f"cutoff {cutoff} does not clear the hyperbolic band (|xi| < {kk:.3g})"
-        )
-    nseg = max(2, int(math.ceil(cutoff / step)))
-    if nseg % 2:
-        nseg += 1
-    xi = np.linspace(0.0, cutoff, nseg + 1)
-    vals = np.array([fourier_green_unified(a, m, t, x) ** 2 for x in xi])
-    h = cutoff / nseg
-    simpson = (h / 3.0) * (
-        vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
-    )
-    value = 2.0 * simpson
-    damp = math.exp(-a * t)
-    if kk > 0:
-        tail = damp / (2 * kk) * math.log((cutoff + kk) / (cutoff - kk))
-    else:
-        msq = m * m - 0.25 * a * a  # >= 0 here
-        if msq > 0:
-            tail = damp * (0.5 * math.pi - math.atan(cutoff / math.sqrt(msq))) / math.sqrt(msq)
-        else:
-            tail = damp / cutoff
-    tail_bound = 2.0 * tail
-    if value > 0 and tail_bound > 0.25 * value:
-        raise QuadratureError(
-            f"tail bound {tail_bound:.3g} not small against value {value:.3g}; "
-            "increase the cutoff"
-        )
-    return SpectralNorm(float(value), float(tail_bound))
-
-
-def critical_kernel(a: float, t: float, x: float) -> float:
-    """Gamma(t, x) = (1/2) exp(-a t / 2) inside the light cone |x| < t."""
-    if t <= 0 or abs(x) >= t:
-        return 0.0
-    return 0.5 * math.exp(-0.5 * a * t)
 
 
 def _region_integrals(a: float, t: float, eps: float, p: float):

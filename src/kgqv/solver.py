@@ -103,7 +103,6 @@ class FieldSample:
     grid: RotatedGrid
     values: np.ndarray
     params: PhysParams
-    field_kind: str
 
     def value(self, i: int, j: int) -> float:
         self.grid.require_index(i, j)
@@ -133,20 +132,13 @@ def march(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField) -> Fie
         F.fid, F.p0, F.p1, F(0.0),
     )
     vals.setflags(write=False)
-    return FieldSample(g, vals, params, "nonlinear")
+    return FieldSample(g, vals, params)
 
 
 def march_linear(params: PhysParams, noise: NoiseField) -> FieldSample:
     """March with F ident 1 and theta = 1 on the same noise (coupled)."""
-    _check_noise(noise)
-    g = noise.grid
     lin = PhysParams(a=params.a, m=params.m, theta=1.0, diffusion_id="constant_one")
-    vals = _kernels.march_window(
-        noise.cells, noise.tris, g.eps, lin.a, lin.m, 1.0,
-        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0,
-    )
-    vals.setflags(write=False)
-    return FieldSample(g, vals, lin, "linear")
+    return march(lin, constant_one(), noise)
 
 
 def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
@@ -166,8 +158,8 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     v_l.setflags(write=False)
     v_c.setflags(write=False)
     return (
-        FieldSample(g, v_l, params, "drift_part"),
-        FieldSample(g, v_c, params, "critical_part"),
+        FieldSample(g, v_l, params),
+        FieldSample(g, v_c, params),
     )
 
 
@@ -227,5 +219,5 @@ def picard_oracle(
     """
     u, _ = _picard_iterate(params, F, noise, iterations)
     u.setflags(write=False)
-    return FieldSample(noise.grid, u, params, "nonlinear")
+    return FieldSample(noise.grid, u, params)
 

@@ -1,12 +1,15 @@
 """Command-line behavior: flag/config merging, exit codes, stream
 separation, and byte-level determinism across parallelism."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +378,21 @@ class TestContract:
                 while text.startswith(f"{exp}:"):
                     text = text.split("\n", 1)[1]
             assert text.startswith("error:"), err.getvalue()
+
+
+class TestReadme:
+    def test_usage_block_lists_exactly_the_parsers_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n\n", 1)[1].split("\n\n", 1)[0]
+        sub = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = [
+            s for a in sub.choices["run"]._actions for s in a.option_strings
+            if s.startswith("--") and s != "--help"
+        ]
+        assert re.findall(r"--\w+", block) == flags
 
 
 class TestStartup:

@@ -225,6 +225,17 @@ class TestSerialization:
         )
         assert {int(k): v for k, v in fixture.items()} == experiments.ORACLE_THRESHOLDS
 
+    def test_oracle_ceilings_are_frozen_on_the_five_default_seeds(self):
+        # --reps sets the number of seeds and the verdict takes the worst
+        # one, so a seed outside 0..4 may exceed a ceiling: seed 7 at n=8.
+        # Criterion 09 checks the default five-seed verdict.
+        ceilings = experiments.ORACLE_THRESHOLDS
+        seed7 = experiments.run(ExperimentConfig(experiment="oracle_check", seed=7, reps=1))
+        assert [row[:2] for row in seed7.rows] == [(8, 7), (16, 7)]
+        assert seed7.summary["max_sup_diff"]["8"] > ceilings[8]
+        assert seed7.summary["max_sup_diff"]["16"] <= ceilings[16]
+        assert not seed7.passed
+
 
 # SHA-256 of the CSV and of the summary without wall_time_s (sort_keys,
 # indent 2, as summary_json writes it), at seed 0.  convolve2d and dblquad

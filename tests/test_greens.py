@@ -5,16 +5,12 @@ import math
 import pytest
 from scipy import integrate
 
-from kgqv.errors import DomainError, QuadratureError, UsageError
+from kgqv.errors import DomainError, UsageError
 from kgqv.greens import (
     PhysParams,
-    SpectralNorm,
-    critical_kernel,
     fourier_green_branch,
     fourier_green_unified,
     kernel_second_difference_lp,
-    l2_spectral_norm,
-    regime,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -49,7 +45,6 @@ class TestParams:
 
     def test_drift_coef(self):
         assert PhysParams(a=2.0, m=1.0).drift_coef == 0.0
-        assert PhysParams(a=2.0, m=1.0).critically_damped
         assert PhysParams(a=1.0, m=0.5).drift_coef == 0.0
         assert PhysParams(a=0.0, m=1.0).drift_coef == -1.0
 
@@ -60,14 +55,6 @@ class TestParams:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(UsageError):
             PhysParams(**kwargs)
-
-
-class TestRegime:
-    def test_signs(self):
-        assert regime(2.0, 1.0, 0.0) == "critical"
-        assert regime(2.0, 1.0, 0.5) == "oscillatory"
-        assert regime(3.0, 0.0, 1.0) == "hyperbolic"
-        assert regime(0.0, 0.0, 1.0) == "oscillatory"
 
 
 class TestFourierGreen:
@@ -121,50 +108,15 @@ class TestFourierGreen:
             assert u == pytest.approx(b, rel=1e-12)
 
     def test_critical_kernel_fourier_pair(self):
-        # At m = a/2 the kernel is explicit on |x| < t; its cosine
-        # transform must reproduce the Fourier-side evaluator.
+        # At m = a/2 the kernel is explicit, (1/2) exp(-a t / 2) on
+        # |x| < t; its cosine transform must reproduce the Fourier-side
+        # evaluator.
         a, t, xi = 2.0, 1.1, 1.7
         val, err = integrate.quad(
-            lambda x: critical_kernel(a, t, x) * math.cos(xi * x), -t, t
+            lambda x: 0.5 * math.exp(-0.5 * a * t) * math.cos(xi * x), -t, t
         )
         assert err < 1e-9
         assert val == pytest.approx(fourier_green_unified(a, 0.5 * a, t, xi), abs=1e-9)
-
-
-class TestSpectralNorm:
-    def test_zero_time_is_zero(self):
-        assert l2_spectral_norm(1.0, 0.5, 0.0, 50.0, 0.05).value == 0.0
-
-    def test_free_wave_yields_pi(self):
-        # int sin^2(xi)/xi^2 dxi over the line equals pi.
-        norm = l2_spectral_norm(0.0, 0.0, 1.0, 500.0, 0.005)
-        assert isinstance(norm, SpectralNorm)
-        assert abs(norm.value - math.pi) < norm.tail_bound
-
-    def test_time_scaling_of_free_wave(self):
-        # int sin^2(t xi)/xi^2 dxi = t pi.
-        norm = l2_spectral_norm(0.0, 0.0, 2.0, 500.0, 0.005)
-        assert abs(norm.value - 2.0 * math.pi) < norm.tail_bound
-
-    def test_cutoff_inside_hyperbolic_band_rejected(self):
-        with pytest.raises(QuadratureError):
-            l2_spectral_norm(4.0, 0.0, 1.0, 3.0, 0.01)
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(UsageError):
-            l2_spectral_norm(1.0, 0.5, 1.0, -5.0, 0.01)
-        with pytest.raises(UsageError):
-            l2_spectral_norm(1.0, 0.5, 1.0, 5.0, 0.0)
-
-
-class TestCriticalKernel:
-    def test_values(self):
-        assert critical_kernel(2.0, 1.0, 0.0) == pytest.approx(0.5 * math.exp(-1.0))
-        assert critical_kernel(0.0, 3.0, 2.9) == 0.5
-        assert critical_kernel(1.0, 1.0, 1.0) == 0.0
-        assert critical_kernel(1.0, 1.0, -1.2) == 0.0
-        assert critical_kernel(1.0, 0.0, 0.0) == 0.0
-        assert critical_kernel(1.0, -0.5, 0.0) == 0.0
 
 
 class TestKernelSecondDifference:

@@ -215,7 +215,6 @@ class TestMarchAgainstReplay:
         )
         assert np.array_equal(V.values, ref.values)
         assert V.params.theta == 1.0
-        assert V.field_kind == "linear"
 
     def test_subwindow_matches_full(self):
         params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
@@ -396,7 +395,7 @@ class TestSplit:
 
     def test_critically_damped_has_no_drift_part(self):
         params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
-        assert params.critically_damped
+        assert params.drift_coef == 0.0
         nf = noise.generate(RotatedGrid(16), 14)
         v_l, v_c = march_split(params, shifted_sine(), nf)
         assert np.all(v_l.values == 0.0)
