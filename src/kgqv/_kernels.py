@@ -19,12 +19,13 @@ the block's two Box-Muller outputs are split by the parity of i.  The
 value is a pure function of (seed, i, j, kind).  Keying by
 (anti-diagonal, i >> 1) lets the replication kernels, which consume the
 cells of one anti-diagonal in increasing i, use both outputs of almost
-every block instead of discarding the second: they draw a whole layer
-for a chunk of replications through _LayerNoise.  The grid fills behind
-lattice_normals and triangle_normals use the same pairs (_pair_normals),
-lattice_normals _FILL_PAIR_ROWS pair rows at a time so that a block's
-temporaries stay in cache; noise.generate draws only the pairs on or
-above the initial line.
+every block instead of discarding the second.  One implementation,
+_LayerNoise.blocks, runs the rounds and the Box-Muller tail: the
+replication kernels draw a whole layer for a chunk of replications
+through _LayerNoise.draw, triangle_normals draws layer 1 the same way
+for one seed, and lattice_normals draws its rectangle _FILL_PAIR_ROWS
+pair rows at a time so that a block's temporaries stay in cache;
+noise.generate draws only the pairs on or above the initial line.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
 # per block of _march_stored, and pair rows per block of the stored fill
 _LAYER_BLOCK = 16
 _FILL_PAIR_ROWS = 16
-
-
-def _split_seed(seed):
-    s = int(seed)
-    if not 0 <= s < _SEED_LIMIT:
-        raise UsageError(f"seed must lie in [0, 2^64), got {s}")
-    return np.uint64(s & 0xFFFFFFFF), np.uint64(s >> 32)
 
 
 def _seed_array(seeds):
@@ -119,90 +113,21 @@ def _f_eval_np(fid, p0, p1, x, out=None):
 
 
 # ---------------------------------------------------------------------------
-# noise fills
-
-
-def _philox_rounds_np(c0, c1, c2, c3, k0, k1):
-    # ten rounds of the 4x32 bijection on arrays of u32 values in uint64
-    for _ in range(10):
-        p0 = _PM0 * c0
-        p1 = _PM1 * c2
-        hi0 = p0 >> _SH32
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> _SH32
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = (k0 + _PW0) & _MASK32
-        k1 = (k1 + _PW1) & _MASK32
-    return c0, c1, c2, c3
-
-
-def _pair_normals(sig, q, kind, k0, k1):
-    """rad*cos (cell i = 2q) and rad*sin (cell 2q+1) of the blocks at (sig, q)."""
-    c0 = np.asarray((sig + _IOFF) & _IMASK, dtype=np.uint64)
-    c1 = np.asarray((q + _IOFF) & _IMASK, dtype=np.uint64)
-    r0, r1, r2, r3 = _philox_rounds_np(c0, c1, np.uint64(kind), np.uint64(0), k0, k1)
-    u1 = ((((r0 << _SH32) | r1) >> _SH11) + _ONE) * _INV53  # in (0, 1], log-safe
-    ang = _TWO_PI * ((((r2 << _SH32) | r3) >> _SH11) * _INV53)
-    rad = np.sqrt(-2.0 * np.log(u1))
-    return rad * np.cos(ang), rad * np.sin(ang)
-
-
-def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
-    """Standard normals for lattice indices (i0+r, j0+c), any rectangle.
-
-    Pair (q, t) holds the cells (2q, t) and (2q+1, t-1) of anti-diagonal
-    2q + t.  The pair grid is drawn _FILL_PAIR_ROWS pair rows at a time,
-    each block straight into its output rows.  With `sig_min`, only the
-    pairs with i + j >= sig_min are drawn and the cells below are +0.0.
-    """
-    k0, k1 = _split_seed(seed)
-    rows, cols = shape
-    first = i0 & 1
-    P = (first + rows + 1) // 2
-    z = np.empty((P, 2, cols))
-    t = j0 + np.arange(cols + 1, dtype=np.int64)
-    pairs = np.empty((2, _FILL_PAIR_ROWS, cols + 1))
-    for p in range(0, P, _FILL_PAIR_ROWS):
-        q = (i0 >> 1) + np.arange(p, min(p + _FILL_PAIR_ROWS, P), dtype=np.int64)[:, None]
-        sig = 2 * q + t
-        cos, sin = pairs[:, : q.shape[0]]
-        if sig_min is None:
-            cos[:], sin[:] = _pair_normals(sig, q, kind, k0, k1)
-        else:
-            on = sig >= sig_min
-            cos[:] = sin[:] = 0.0
-            qs = np.broadcast_to(q, sig.shape)[on]
-            cos[on], sin[on] = _pair_normals(sig[on], qs, kind, k0, k1)
-        z[p : p + q.shape[0], 0] = cos[:, :cols]
-        z[p : p + q.shape[0], 1] = sin[:, 1:]
-    return z.reshape(-1, cols)[first : first + rows]
-
-
-def triangle_normals(i0, count, seed):
-    """Standard normals for the layer-1 points (i0+k, 1-(i0+k))."""
-    k0, k1 = _split_seed(seed)
-    first = i0 & 1
-    q = (i0 >> 1) + np.arange((first + count + 1) // 2, dtype=np.int64)
-    z = np.stack(_pair_normals(1, q, 1, k0, k1), axis=1)
-    return z.reshape(-1)[first : first + count]
+# noise
 
 
 class _LayerNoise:
-    """Whole anti-diagonals of normals for a chunk of replications.
+    """Philox blocks and their normals for a chunk of replications.
 
-    Arrays are laid out (slot, replication).  One Philox block per
+    Arrays are laid out (pair, replication).  One Philox block per
     (sigma, i >> 1) pair serves both cells of the pair: rad*cos fills
     the even-i slot and rad*sin the odd-i slot, so a layer costs one
     block per two cells.  The rounds run in place on flat buffers
-    allocated once per chunk and reused from layer to layer; a layer
-    with P pairs works on the first P*R entries as one contiguous
-    (P, R) block.  Until round four some state words are constant along
-    one axis; those stay at their smaller shapes and cost no full pass.
-    Every value is bitwise what lattice_normals gives for the same cell.
+    allocated once and reused from call to call; P pairs work on the
+    first P*R entries as one contiguous (P, R) block.  With a scalar
+    sig, as a layer draw has, some state words are constant along one
+    axis until round four; those stay at their smaller shapes and cost
+    no full pass.
     """
 
     def __init__(self, seeds, max_count):
@@ -220,21 +145,26 @@ class _LayerNoise:
         self.pairs = np.empty(2 * size)
         self.reps = R
 
-    def draw(self, sig, ic0, count, kind):
-        """(count, R) normals for cells i = ic0 + k, j = sig - i."""
+    def blocks(self, sig, q, kind):
+        """(P, 2, R) rad*cos and rad*sin of the blocks (sig, q, kind, 0).
+
+        `q` is a (P, 1) array of i >> 1 values and `sig` an integer or an
+        array of anti-diagonals that broadcasts with it.
+        """
         R = self.reps
-        q0 = ic0 >> 1
-        P = ((ic0 + count - 1) >> 1) - q0 + 1
+        P = q.shape[0]
         x0, x1, x2, x3, t0, t1 = (w[: P * R].reshape(P, R) for w in self.words)
         keys = self.keys
-        q = ((q0 + np.arange(P)[:, None] + _IOFF) & _IMASK).astype(np.uint64)
-        # round 1 takes the counter (sig, q, kind, 0): only q is an array
-        p0 = int(_PM0) * ((sig + _IOFF) & _IMASK)
+        q = ((q + _IOFF) & _IMASK).astype(np.uint64)
+        # round 1 takes the counter (sig, q, kind, 0).  The shapes below are
+        # for a scalar sig; an array sig, as the fill passes, widens the
+        # words it reaches to one per pair
+        p0 = _PM0 * np.asarray((sig + _IOFF) & _IMASK, dtype=np.uint64)
         p1 = int(_PM1) * kind
         np.bitwise_xor(q ^ (p1 >> 32), keys[0][0], out=x0)
         c1 = p1 & _IMASK
-        c2 = (p0 >> 32) ^ keys[0][1]
-        c3 = p0 & _IMASK
+        c2 = (p0 >> _SH32) ^ keys[0][1]
+        c3 = p0 & _MASK32
         # round 2: c0 full, c2 per replication, c1 and c3 scalars
         np.multiply(x0, _PM0, out=t0)
         r1 = _PM1 * c2
@@ -272,6 +202,7 @@ class _LayerNoise:
             x2 ^= k1
             np.bitwise_and(t1, _MASK32, out=x1)
             np.bitwise_and(t0, _MASK32, out=x3)
+        # Box-Muller: u1 in (0, 1] keeps the log finite
         u, rad, trig = (f[: P * R].reshape(P, R) for f in self.reals)
         x0 <<= _SH32
         x0 |= x1
@@ -291,8 +222,50 @@ class _LayerNoise:
         np.multiply(rad, trig, out=z[:, 0])
         np.sin(u, out=trig)
         np.multiply(rad, trig, out=z[:, 1])
+        return z
+
+    def draw(self, sig, ic0, count, kind):
+        """(count, R) normals for cells i = ic0 + k, j = sig - i."""
+        q0 = ic0 >> 1
+        P = ((ic0 + count - 1) >> 1) - q0 + 1
+        z = self.blocks(sig, q0 + np.arange(P)[:, None], kind)
         first = ic0 & 1
-        return z.reshape(2 * P, R)[first : first + count]
+        return z.reshape(2 * P, self.reps)[first : first + count]
+
+
+def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
+    """Standard normals for lattice indices (i0+r, j0+c), any rectangle.
+
+    Pair (q, t) holds the cells (2q, t) and (2q+1, t-1) of anti-diagonal
+    2q + t.  The pair grid is drawn _FILL_PAIR_ROWS pair rows at a time,
+    each block straight into its output rows.  Only the pairs with
+    i + j >= sig_min are drawn and the cells below are +0.0; sig_min
+    defaults to i0 + j0, the lowest anti-diagonal of the rectangle.
+    """
+    rows, cols = shape
+    lo = i0 + j0 if sig_min is None else sig_min
+    first = i0 & 1
+    P = (first + rows + 1) // 2
+    z = np.empty((P, 2, cols))
+    t = j0 + np.arange(cols + 1, dtype=np.int64)
+    pairs = np.empty((2, _FILL_PAIR_ROWS, cols + 1))
+    noise = _LayerNoise(_seed_array([seed]), 2 * _FILL_PAIR_ROWS * (cols + 1))
+    for p in range(0, P, _FILL_PAIR_ROWS):
+        q = (i0 >> 1) + np.arange(p, min(p + _FILL_PAIR_ROWS, P), dtype=np.int64)[:, None]
+        sig = 2 * q + t
+        on = sig >= lo
+        qs = np.broadcast_to(q, sig.shape)[on]
+        cos, sin = pairs[:, : q.shape[0]]
+        cos[:] = sin[:] = 0.0
+        cos[on], sin[on] = noise.blocks(sig[on][:, None], qs[:, None], kind)[:, :, 0].T
+        z[p : p + q.shape[0], 0] = cos[:, :cols]
+        z[p : p + q.shape[0], 1] = sin[:, 1:]
+    return z.reshape(-1, cols)[first : first + rows]
+
+
+def triangle_normals(i0, count, seed):
+    """Standard normals for the layer-1 points (i0+k, 1-(i0+k))."""
+    return _LayerNoise(_seed_array([seed]), count).draw(1, i0, count, 1)[:, 0]
 
 
 def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):

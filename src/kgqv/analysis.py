@@ -32,7 +32,6 @@ _SQRT2 = math.sqrt(2.0)
 class SlopeFit:
     slope: float
     stderr: float
-    intercept: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def remainder(
     eps: float,
     sign: int,
 ) -> float:
-    """Local-linearization remainder dd(v) - F(v(q)) dd(V) at one point.
+    """Local-linearization remainder dd(v) - theta F(v(q)) dd(V) at one point.
 
     dd is the rectangular double increment with first-coordinate step
     sign*eps and second-coordinate step +eps; v and V must be coupled
@@ -78,7 +77,7 @@ def remainder(
             f.value(i, j + k) - f.value(i, j)
         )
 
-    return dd(v) - F(v.value(i, j)) * dd(V)
+    return dd(v) - v.params.theta * F(v.value(i, j)) * dd(V)
 
 
 def lp_norm_mc(x, p: float):
@@ -170,15 +169,12 @@ def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:
     (1/2) dW, whose second moment eps^2/4 is exact, by that value:
     sqrt(eps^2/4 + mean (dd - dW/2)^2).
     """
-    replications = samples.shape[0]
-    if replications < 100:
-        raise UsageError(f"need at least 100 replications, got {replications}")
     dd = samples[:, 0]
-    raw, raw_se = lp_norm_mc(dd, 2.0)
+    raw, raw_se = lp_norm_mc(dd, 2.0)  # checks the replication count
     c = dd - 0.5 * samples[:, 1]
     mc2 = float(np.mean(c * c))
     cond = math.sqrt(0.25 * eps * eps + mc2)
-    se_mc2 = float(np.std(c * c, ddof=1)) / math.sqrt(replications)
+    se_mc2 = float(np.std(c * c, ddof=1)) / math.sqrt(dd.shape[0])
     cond_se = se_mc2 / (2.0 * cond)
     return IncrementL2(
         eps=eps, raw=raw, raw_se=raw_se,
@@ -207,4 +203,4 @@ def fit_loglog(x, y) -> SlopeFit:
     intercept = float(ly.mean() - slope * mx)
     resid = ly - (intercept + slope * lx)
     stderr = math.sqrt(float(np.sum(resid**2)) / (npts - 2) / sxx)
-    return SlopeFit(slope=slope, stderr=stderr, intercept=intercept)
+    return SlopeFit(slope=slope, stderr=stderr)

@@ -32,24 +32,18 @@ _RUN_KEYS = {
     "out": (str, "output directory for the CSV"),
     "jobs": (int, "worker threads"),
 }
+# a config-file value of each key type, as the error messages name it
+_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
 def _coerce(key: str, value):
     want = _RUN_KEYS[key][0]
-    # bool is an int subtype; reject it before the numeric branches
-    if isinstance(value, bool):
-        raise UsageError(f"config key {key!r} must be a {want.__name__}, got a boolean")
-    if want is float:
-        if not isinstance(value, (int, float)):
-            raise UsageError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
-    if want is int:
-        if not isinstance(value, int):
-            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, str):
-        raise UsageError(f"config key {key!r} must be a string, got {value!r}")
-    return value
+    ok = (int, float) if want is float else want
+    # bool is an int subtype, and never a valid value
+    if isinstance(value, bool) or not isinstance(value, ok):
+        got = "a boolean" if isinstance(value, bool) else repr(value)
+        raise UsageError(f"config key {key!r} must be {_KINDS[want]}, got {got}")
+    return float(value) if want is float else value
 
 
 def _load_config_file(path: str) -> dict:

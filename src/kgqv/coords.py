@@ -8,13 +8,12 @@ so the light cone of the wave operator maps onto the coordinate axes and
 the d'Alembertian becomes 2 * d^2/(dtau dlam).  A field in rotated
 coordinates is any callable f(tau, lam).
 
-The difference operators follow the two-parameter convention: delta1
-shifts tau (by +eps or -eps), delta2 shifts lam (by +eps), and
-second_diff is their composition, the increment of f over one lattice
-cell.  ``original_coord_diff`` evaluates the two physical-coordinate
-four-point stencils by mapping them onto rotated second differences;
-the mapping is exact, no physical-coordinate lattice exists anywhere in
-the package.
+The lattice difference operator second_diff is the increment of f over
+one lattice cell: a tau difference (by +eps or -eps) of a lam
+difference (by +eps).  ``original_coord_diff`` evaluates the two
+physical-coordinate four-point stencils by mapping them onto rotated
+second differences; the mapping is exact, no physical-coordinate
+lattice exists anywhere in the package.
 """
 
 from __future__ import annotations
@@ -140,25 +139,11 @@ class RotatedGrid:
         return k
 
 
-def delta1(f, q: RotPoint, eps: float, sign: int = 1) -> float:
-    """First difference in tau: f(tau +/- eps, lam) - f(tau, lam)."""
-    if sign not in (1, -1):
-        raise UsageError(f"sign must be +1 or -1, got {sign}")
-    return f(q.tau + sign * eps, q.lam) - f(q.tau, q.lam)
-
-
-def delta2(f, q: RotPoint, eps: float, sign: int = 1) -> float:
-    """First difference in lam: f(tau, lam + eps) - f(tau, lam)."""
-    if sign not in (1, -1):
-        raise UsageError(f"sign must be +1 or -1, got {sign}")
-    return f(q.tau, q.lam + sign * eps) - f(q.tau, q.lam)
-
-
 def second_diff(f, q: RotPoint, eps: float, sign: int = 1) -> float:
-    """Composition delta1 (with sign) of delta2 (with +eps).
+    """The tau difference (step sign*eps) of the lam difference (step +eps).
 
-    Grouped exactly as the composition rounds, so it is bit-identical
-    to delta1 applied to the function lam-difference.
+    Grouped exactly as that composition rounds: the lam differences at
+    tau + sign*eps and at tau first, then their difference.
     """
     if sign not in (1, -1):
         raise UsageError(f"sign must be +1 or -1, got {sign}")

@@ -370,7 +370,7 @@ def _mapping_gap(seed: int) -> float:
         v_txy = lambda t, x: vf(PhysPoint(t, x))
         V_txy = lambda t, x: Vf(PhysPoint(t, x))
         for q in (RotPoint(0.5, 0.5), RotPoint(0.25, 0.75)):
-            base = F(v.value(*v.grid.index_of(q)))
+            base = params.theta * F(v.value(*v.grid.index_of(q)))
             p = to_physical(q)
             for eps_rot in (1.0 / 8, 1.0 / n):
                 e_phys = eps_rot / math.sqrt(2.0)
@@ -430,7 +430,7 @@ def _run_remainder_rate(cfg: ExperimentConfig):
     for p_idx, q in enumerate(points):
         i = int(round(q.tau * n))
         j = int(round(q.lam * n))
-        base = F(v_block[:, col_of[(i, j)]])
+        base = params.theta * F(v_block[:, col_of[(i, j)]])
         for sign, label in ((1, "plus"), (-1, "minus")):
             norms = []
             for eps in eps_list:
@@ -533,7 +533,7 @@ def _run_quadvar_rate(cfg: ExperimentConfig):
     gaps = []
     for N in nl_ns:
         qn, sf = nl[N][:, 0], nl[N][:, 1]
-        gap = np.abs(qn - 0.25 * sf / (N * N))
+        gap = np.abs(qn - 0.25 * params.theta * params.theta * sf / (N * N))
         mg = float(gap.mean())
         gaps.append(mg)
         rows.append(

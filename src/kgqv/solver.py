@@ -40,16 +40,11 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
-    """One entry of the multiplicative-coefficient menu.
-
-    All menu members are globally Lipschitz; `lipschitz_constant` is the
-    analytic constant, checked empirically in the tests.
-    """
+    """One entry of the multiplicative-coefficient menu, all globally Lipschitz."""
 
     id: str
     p0: float
     p1: float
-    lipschitz_constant: float
     fid: int
 
     def __call__(self, x):
@@ -59,24 +54,24 @@ class DiffusionCoefficient:
 
 
 def constant_one() -> DiffusionCoefficient:
-    return DiffusionCoefficient("constant_one", 0.0, 0.0, 0.0, _kernels.FID_CONSTANT_ONE)
+    return DiffusionCoefficient("constant_one", 0.0, 0.0, _kernels.FID_CONSTANT_ONE)
 
 
 def affine(alpha: float = 1.0, beta: float = 1.0) -> DiffusionCoefficient:
     """F(u) = alpha + beta u."""
-    return DiffusionCoefficient("affine", alpha, beta, abs(beta), _kernels.FID_AFFINE)
+    return DiffusionCoefficient("affine", alpha, beta, _kernels.FID_AFFINE)
 
 
 def shifted_sine(c0: float = 2.0, c1: float = 1.0) -> DiffusionCoefficient:
     """F(u) = c0 + c1 sin(u); bounded away from 0 when c0 > |c1|."""
-    return DiffusionCoefficient("shifted_sine", c0, c1, abs(c1), _kernels.FID_SHIFTED_SINE)
+    return DiffusionCoefficient("shifted_sine", c0, c1, _kernels.FID_SHIFTED_SINE)
 
 
 def clipped_linear(m0: float = 1.0, c2: float = 2.0) -> DiffusionCoefficient:
     """F(u) = clip(u, -m0, m0) + c2."""
     if m0 <= 0:
         raise UsageError(f"clip bound must be positive, got {m0}")
-    return DiffusionCoefficient("clipped_linear", m0, c2, 1.0, _kernels.FID_CLIPPED_LINEAR)
+    return DiffusionCoefficient("clipped_linear", m0, c2, _kernels.FID_CLIPPED_LINEAR)
 
 
 _FACTORIES = {

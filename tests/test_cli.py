@@ -89,6 +89,16 @@ class TestUsageErrors:
         assert rc == 2
         assert "boolean" in err
 
+    @pytest.mark.parametrize(
+        "key, kind", [("n", "an integer"), ("a", "a number"), ("out", "a string")]
+    )
+    def test_config_boolean_error_names_the_key_type(self, tmp_path, capsys, key, kind):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "oracle_check", key: True}))
+        rc, _, err = run_main(["run", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert err.startswith(f"error: config key '{key}' must be {kind}, got a boolean\n")
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")

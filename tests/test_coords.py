@@ -9,8 +9,6 @@ from kgqv.coords import (
     PhysPoint,
     RotatedGrid,
     RotPoint,
-    delta1,
-    delta2,
     original_coord_diff,
     second_diff,
     to_physical,
@@ -125,18 +123,16 @@ class TestDifferences:
         f = lambda tau, lam: math.sin(3 * tau) * math.exp(0.3 * lam)
         q = RotPoint(0.375, 0.625)
         eps = 0.125
+        # the lam difference, then its tau difference
+        d_lam = lambda tau: f(tau, q.lam + eps) - f(tau, q.lam)
         for sign in (1, -1):
-            g = lambda tau, lam: delta2(f, RotPoint(tau, lam), eps)
-            assert second_diff(f, q, eps, sign) == delta1(g, q, eps, sign)
+            assert second_diff(f, q, eps, sign) == d_lam(q.tau + sign * eps) - d_lam(q.tau)
 
-    def test_delta_signs(self):
+    def test_second_diff_rejects_other_signs(self):
         f = lambda tau, lam: tau + 10 * lam
-        q = RotPoint(0.0, 0.0)
-        assert delta1(f, q, 0.5, 1) == pytest.approx(0.5)
-        assert delta1(f, q, 0.5, -1) == pytest.approx(-0.5)
-        assert delta2(f, q, 0.5, 1) == pytest.approx(5.0)
-        with pytest.raises(UsageError):
-            delta1(f, q, 0.5, 2)
+        for sign in (0, 2, -2):
+            with pytest.raises(UsageError):
+                second_diff(f, RotPoint(0.0, 0.0), 0.5, sign)
 
 
 class TestOriginalCoordStencils:

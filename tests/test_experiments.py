@@ -3,6 +3,7 @@ report serialization.  Statistical verdicts live in test_acceptance."""
 
 import hashlib
 import json
+import platform
 import threading
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestSeedRows:
             experiments._seed_rows(worker, top, 4, jobs=2)
 
 
+class TestTheta:
+    # v carries theta F(v) dW, so its remainder and its QV limit must scale
+    # with theta; leaving theta out leaves an order-eps remainder and a gap
+    # that does not decay (slopes about 1.05, gap decay about 0)
+    def test_remainder_backward_slopes_meet_the_bound_at_theta_two(self):
+        cfg = ExperimentConfig(experiment="remainder_rate", theta=2.0, n=128, reps=100)
+        slopes = experiments.run(cfg).summary["slopes"]
+        minus = [v["slope"] for k, v in slopes.items() if k.endswith("_minus")]
+        assert len(minus) == 3
+        assert min(minus) >= 1.35, minus
+
+    def test_quadvar_gap_decays_at_theta_two(self):
+        cfg = ExperimentConfig(experiment="quadvar_rate", theta=2.0, n=256, reps=100)
+        nonlinear = experiments.run(cfg).summary["nonlinear"]
+        assert nonlinear["gap_bound_direction_ok"], nonlinear["gap_decay"]
+
+
 class TestSerialization:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -240,10 +258,17 @@ class TestSerialization:
 # SHA-256 of the CSV and of the summary without wall_time_s (sort_keys,
 # indent 2, as summary_json writes it), at seed 0.  convolve2d and dblquad
 # make the oracle_check and kernel_lemma bytes depend on the scipy build as
-# well as on numpy's
+# well as on numpy's.  green_identities uses no numpy: its bytes come from
+# libm's sin, sinh and exp through the math module, so they hold for the C
+# library and machine they were recorded on
 RECORDED_SCIPY = "1.17"
 SCIPY_EXPERIMENTS = ("oracle_check", "kernel_lemma")
+RECORDED_LIBM = ("glibc", "2.36", "x86_64")
 RUN_SHA256 = {
+    ("green_identities",): (
+        "97e4e595302d2ed788fd9eb21f2d4286aad782a2d7607e2e0665b9ee492fb84b",
+        "64612134ccc2fc20a8127323b81dc162a47eb11459ec939a0923bc364b6eea9e",
+    ),
     ("linear_variance", "--n", "64", "--reps", "500"): (
         "dd13fcb3c08d9a52baf391b168d3cd87d826a8a622bd5bd16b8383af931a1449",
         "3ed65a0c2833c29fdb17ac191957a5ed4483c3a1e5a385d461972fdfe21f8eb6",
@@ -276,6 +301,7 @@ CHECKED_INSTEAD = {
     "estimator_consistency": "test_kernels' test_march_qv_matches_window_reductions (bit for bit)",
     "oracle_check": "test_solver's TestPicardOracle (march agreement to 1e-12 at a = m = 0)",
     "kernel_lemma": "test_greens's TestKernelSecondDifference (closed form, rel 1e-8)",
+    "green_identities": "test_greens's TestFourierGreen (branch against unified form)",
 }
 
 
@@ -283,7 +309,15 @@ class TestRecordedBytes:
     @pytest.mark.parametrize("args", sorted(RUN_SHA256), ids=" ".join)
     def test_run_bytes_match_recorded(self, args, tmp_path, capsys):
         exp = args[0]
-        skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
+        if exp == "green_identities":
+            libm = (*platform.libc_ver(), platform.machine())
+            if libm != RECORDED_LIBM:
+                pytest.skip(
+                    f"hashes recorded with {' '.join(RECORDED_LIBM)}, running "
+                    f"{' '.join(libm)}: only {CHECKED_INSTEAD[exp]} checked the values"
+                )
+        else:
+            skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
         version = ".".join(scipy.__version__.split(".")[:2])
         if exp in SCIPY_EXPERIMENTS and version != RECORDED_SCIPY:
             pytest.skip(

@@ -30,61 +30,91 @@ def ref_block(ctr, key):
     return tuple(c)
 
 
-def ref_gauss(i, j, kind, seed):
-    s = seed & 0xFFFFFFFFFFFFFFFF
-    sigma = (i + j + 2**31) & U32
-    q = ((i >> 1) + 2**31) & U32
-    r = ref_block((sigma, q, kind, 0), (s & U32, s >> 32))
+def ref_pair(r):
+    # rad*cos (even i) and rad*sin (odd i) of a block's words r
     hi = (r[0] << 32) | r[1]
     lo = (r[2] << 32) | r[3]
     u1 = ((hi >> 11) + 1) * 2.0**-53
     u2 = (lo >> 11) * 2.0**-53
     rad = math.sqrt(-2.0 * math.log(u1))
-    if (i & 1) == 0:
-        return rad * math.cos(2.0 * math.pi * u2)
-    return rad * math.sin(2.0 * math.pi * u2)
+    return rad * math.cos(2.0 * math.pi * u2), rad * math.sin(2.0 * math.pi * u2)
 
 
-def impl_block(ctr, key):
-    words = (np.array([v], dtype=np.uint64) for v in (*ctr, *key))
-    return tuple(int(v[0]) for v in _kernels._philox_rounds_np(*words))
+def ref_gauss(i, j, kind, seed):
+    s = seed & 0xFFFFFFFFFFFFFFFF
+    sigma = (i + j + 2**31) & U32
+    q = ((i >> 1) + 2**31) & U32
+    return ref_pair(ref_block((sigma, q, kind, 0), (s & U32, s >> 32)))[i & 1]
+
+
+def impl_pairs(sig, q, kind, seeds):
+    # (P, 2, R) normals of the blocks (sig, q, kind, 0) through _LayerNoise
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    q = np.asarray(q, dtype=np.int64).reshape(-1, 1)
+    noise = _kernels._LayerNoise(seeds, 2 * q.shape[0])
+    return noise.blocks(sig, q, kind).copy()
 
 
 def impl_gauss(i, j, kind, seed):
     return _kernels.lattice_normals(i, j, (1, 1), kind, seed)[0, 0]
 
 
+def np_pair(r):
+    # ref_pair with numpy's log, cos and sin, as _LayerNoise takes them
+    hi = (r[0] << 32) | r[1]
+    lo = (r[2] << 32) | r[3]
+    u1 = np.array([((hi >> 11) + 1) * 2.0**-53])
+    ang = np.array([(lo >> 11) * 2.0**-53]) * (2.0 * math.pi)
+    rad = np.sqrt(np.log(u1) * -2.0)
+    return (rad * np.cos(ang))[0], (rad * np.sin(ang))[0]
+
+
 class TestKnownAnswers:
     # 10-round philox4x32 vectors from the reference distribution
     def test_zero_vector(self):
         expect = (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)
-        assert impl_block((0, 0, 0, 0), (0, 0)) == expect
         assert ref_block((0, 0, 0, 0), (0, 0)) == expect
+        # counter words (0, 0) are sigma = q = -2^31: cells i = -2^32 and
+        # i = -2^32 + 1 on anti-diagonal -2^31, kind 0, seed 0
+        cos, sin = impl_pairs(-(2**31), [-(2**31)], 0, [0])[0, :, 0]
+        assert (cos, sin) == np_pair(expect)
+        assert cos == pytest.approx(ref_gauss(-(2**32), 2**31, 0, 0), rel=1e-12)
+        assert sin == pytest.approx(ref_gauss(1 - 2**32, 2**31 - 1, 0, 0), rel=1e-12)
 
     def test_pi_vector(self):
         ctr = (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344)
         key = (0xA4093822, 0x299F31D0)
         expect = (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
-        assert impl_block(ctr, key) == expect
         assert ref_block(ctr, key) == expect
 
 
 @given(
-    st.tuples(*(st.integers(0, U32) for _ in range(4))),
-    st.tuples(st.integers(0, U32), st.integers(0, U32)),
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(0, U32),
+    st.integers(0, 2**64 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_block_matches_reference(ctr, key):
-    assert impl_block(ctr, key) == ref_block(ctr, key)
+def test_block_matches_reference(sig, q, kind, seed):
+    got = impl_pairs(sig, [q], kind, [seed])[0, :, 0]
+    key = (seed & U32, seed >> 32)
+    want = ref_pair(ref_block(((sig + 2**31) & U32, (q + 2**31) & U32, kind, 0), key))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_array_rounds_match_reference():
+    # an anti-diagonal per pair, as the fill passes them, for three seeds at
+    # once: every state word then spans pairs and replications
     rng = np.random.default_rng(2024)
-    words = rng.integers(0, U32, size=(64, 6), dtype=np.uint64)
-    got = _kernels._philox_rounds_np(*(words[:, c] for c in range(6)))
-    for r in range(words.shape[0]):
-        expect = ref_block(tuple(int(w) for w in words[r, :4]), (int(words[r, 4]), int(words[r, 5])))
-        assert tuple(int(g[r]) for g in got) == expect
+    sig = rng.integers(-(2**31), 2**31, size=(64, 1))
+    q = rng.integers(-(2**31), 2**31, size=64)
+    seeds = [0, 2**40 + 3, 2**64 - 1]
+    got = impl_pairs(sig, q, 1, seeds)
+    for p in range(64):
+        ctr = ((int(sig[p, 0]) + 2**31) & U32, (int(q[p]) + 2**31) & U32, 1, 0)
+        for r, seed in enumerate(seeds):
+            want = ref_pair(ref_block(ctr, (seed & U32, seed >> 32)))
+            assert tuple(got[p, :, r]) == pytest.approx(want, rel=1e-12)
 
 
 @given(
@@ -100,10 +130,11 @@ def test_gauss_matches_reference(i, j, kind, seed):
 
 
 def test_pair_and_parity_consistency():
-    # the layer draw and the window fill are separate implementations of
-    # the same pairing: a block per (sigma, i >> 1), cos for even i and sin
-    # for odd i.  They must agree byte for byte on one anti-diagonal,
-    # whichever parity the layer starts on
+    # the layer draw and the window fill gather the same blocks in
+    # different orders: one anti-diagonal for many seeds, against pair rows
+    # of a rectangle for one seed, with cos for even i and sin for odd i.
+    # They must agree byte for byte on one anti-diagonal, whichever parity
+    # the layer starts on
     seeds = np.array([99, 2**40 + 1], dtype=np.uint64)
     layer = _kernels._LayerNoise(seeds, 12)
     for ic0 in (-7, -2, 0, 5):
@@ -162,11 +193,12 @@ class TestDistribution:
         assert 0.5 * 0.0027 < frac3 < 2.0 * 0.0027
 
     def test_log_argument_never_zero(self):
-        # u1 = ((hi >> 11) + 1) * 2^-53 lies in (0, 1] by construction;
-        # the extreme block must still give a finite value
-        big = (_kernels._MASK32, _kernels._MASK32, _kernels._MASK32, _kernels._MASK32)
-        r = impl_block(big, (U32, U32))
-        hi = (r[0] << 32) | r[1]
-        u1 = ((hi >> 11) + 1) * 2.0**-53
-        assert 0.0 < u1 <= 1.0
+        # u1 = ((hi >> 11) + 1) * 2^-53 lies in (0, 1] for every 64-bit hi,
+        # so the log stays finite at both ends
+        for hi in (0, 2**64 - 1):
+            u1 = ((hi >> 11) + 1) * 2.0**-53
+            assert 0.0 < u1 <= 1.0 and math.isfinite(math.log(u1))
+        # the extreme counter and key still give finite values
+        z = impl_pairs(2**31 - 1, [2**31 - 1], U32, [2**64 - 1])
+        assert np.all(np.isfinite(z))
         assert math.isfinite(impl_gauss(0, 0, 0, 0))

@@ -116,11 +116,11 @@ class TestCoefficients:
         assert g(5.0) == 3.0  # clipped at m0=1, then +2
         assert g(-5.0) == 1.0
 
-    def test_defaults_and_lipschitz(self):
+    def test_defaults(self):
         assert shifted_sine().id == "shifted_sine"
-        assert clipped_linear().lipschitz_constant == 1.0
-        assert affine(1.0, 2.5).lipschitz_constant == 2.5
-        assert constant_one().lipschitz_constant == 0.0
+        assert (shifted_sine().p0, shifted_sine().p1) == (2.0, 1.0)
+        assert (clipped_linear().p0, clipped_linear().p1) == (1.0, 2.0)
+        assert (affine().p0, affine().p1) == (1.0, 1.0)
 
     def test_array_and_scalar_agree(self):
         # a scalar goes through the array path and comes back a float, bit
