@@ -6,8 +6,8 @@ buffers reused from layer to layer: (slot, replication) blocks in the
 replication kernels, (slot, field) blocks in the stored-window marches,
 which read and write their L x L windows _LAYER_BLOCK layers at a time.
 The two replication kernels share one layer loop, _march_layers:
-march_points records points and a cell increment from the layers it
-yields, march_qv adds up Q_N and the sum of F^2.
+march_points records points from the layers it yields, march_qv adds
+up Q_N and the sum of F^2.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
@@ -57,7 +57,6 @@ _INV53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
 _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
-_NO_CELL = 1 << 40  # sentinel index: never matches a marched layer
 _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
 # blocks that keep the stored-window work in cache: anti-diagonal layers
 # per block of _march_stored, and pair rows per block of the stored fill
@@ -392,16 +391,16 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 
 
 def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
-    """One march per seed, yielded layer by layer: s, X, A, B, fb, dw, X2.
+    """One march per seed, yielded layer by layer: s, X, A, B, fb, X2.
 
     X is layer s = 1 .. L-1, A and B the two layers before it, all
     (slot k, replication) buffers of which the first c = L - s slots of X
-    are live; fb = F(B[1 : c+1]) and dw are the c bottom coefficients and
-    cell increments of the layer, and X2 the coupled linear field
-    (F ident 1, theta 1, same noise) when `coupled`, else None.  Layer 1
-    comes from the boundary triangles: its cells have their bottoms below
-    the initial line, so its dw is zero.  Buffers are reused, so a layer
-    must be read before the next one is asked for.
+    are live; fb = F(B[1 : c+1]) are the c bottom coefficients of the
+    layer, and X2 the coupled linear field (F ident 1, theta 1, same
+    noise) when `coupled`, else None.  Layer 1 comes from the boundary
+    triangles: its cells have their bottoms below the initial line, so
+    it has no cell increment.  Buffers are reused, so a layer must be
+    read before the next one is asked for.
     """
     beta, th2, drh = _rates(eps, a, m, theta)
     beta2 = beta * beta
@@ -410,8 +409,7 @@ def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
     noise = _LayerNoise(seeds, L - 1)
     B, A, X = (np.zeros((L + 1, R)) for _ in range(3))
     B2, A2, X2 = (np.zeros((L + 1, R)) for _ in range(3)) if coupled else (None,) * 3
-    dw_buf = np.zeros((L, R))
-    fb_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(3))
+    dw_buf, fb_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(4))
     z1 = noise.draw(1, i_min + 1, L - 1, 1)
     X[: L - 1] = th2 * f0 * tri * z1
     if coupled:
@@ -419,9 +417,8 @@ def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
     for s in range(1, L):
         c = L - s
         fb = _f_eval_np(fid, p0, p1, B[1 : c + 1], out=fb_buf[:c])
-        dw = dw_buf[:c]
         if s > 1:
-            np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw)
+            dw = np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw_buf[:c])
             drive = drive_buf[:c]
             np.multiply(fb, th2, out=drive)
             drive *= dw
@@ -429,7 +426,7 @@ def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
             if coupled:
                 np.multiply(dw, 0.5, out=drive)
                 _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
-        yield s, X, A, B, fb, dw, X2
+        yield s, X, A, B, fb, X2
         B, A, X = A, X, B
         if coupled:
             B2, A2, X2 = A2, X2, B2
@@ -438,31 +435,26 @@ def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
 @_quiet
 def march_points(
     seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
-    pts_i, pts_j, coupled=False, cell_i=_NO_CELL, cell_j=_NO_CELL,
+    pts_i, pts_j, coupled=False,
 ):
     """March one replication per seed, keeping only requested values.
 
-    Returns an (R, 2K+1) array: columns 0..K-1 hold the marched field at
+    Returns an (R, 2K) array: columns 0..K-1 hold the marched field at
     the K lattice points, columns K..2K-1 the coupled linear field
-    (F ident 1, theta 1, same noise) when `coupled`, else zeros, and the
-    last column the raw cell increment at (cell_i, cell_j) when given.
+    (F ident 1, theta 1, same noise) when `coupled`, else zeros.
     Memory is O(L) per replication; chunk the seeds upstream.
     """
     seeds = _seed_array(seeds)
     pts_i = np.ascontiguousarray(pts_i, dtype=np.int64)
     pts_j = np.ascontiguousarray(pts_j, dtype=np.int64)
     K = pts_i.shape[0]
-    out = np.zeros((seeds.shape[0], 2 * K + 1))
+    out = np.zeros((seeds.shape[0], 2 * K))
     # the requested points by layer, as (column, slot)
     at_layer = {}
     for t in range(K):
         at_layer.setdefault(int(pts_i[t] + pts_j[t]), []).append((t, -i_min - int(pts_j[t])))
-    cell_s = cell_i + cell_j + 2
-    cell_k = -i_min - (cell_j + 1)
     layers = _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled)
-    for s, X, _, _, _, dw, X2 in layers:
-        if s == cell_s and 0 <= cell_k < L - s:
-            out[:, 2 * K] = dw[cell_k]
+    for s, X, _, _, _, X2 in layers:
         for t, kt in at_layer.get(s, ()):
             out[:, t] = X[kt]
             if coupled:
@@ -488,7 +480,7 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
     qn = np.zeros(seeds.shape[0])
     sf = np.zeros(seeds.shape[0])
     layers = _march_layers(seeds, L, -N, 1.0 / N, a, m, theta, fid, p0, p1, f0, False)
-    for s, X, A, B, fb, _, _ in layers:
+    for s, X, A, B, fb, _ in layers:
         # slots k whose cell bottom (s - 1 - N + k, N - 1 - k) is in [0, N)^2
         lo = max(0, N + 1 - s)
         hi = min(L - s, N)

@@ -142,7 +142,8 @@ def increment_samples(
     """One row per seed: [double increment of V, own cell increment].
 
     Marches the linear field (F ident 1, theta 1) over the dependency
-    window of the four stencil corners at `point` with step eps = 1/n.
+    window of the four stencil corners at `point` with step eps = 1/n;
+    the own cell increment is the draw the march makes for that cell.
     """
     n = int(round(1.0 / eps))
     if abs(n * eps - 1.0) > 1e-9 or n < 2 or n & (n - 1):
@@ -153,13 +154,14 @@ def increment_samples(
     rows, _ = grid.shape
     pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
     pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
+    seeds = _kernels._seed_array(seeds)
     out = _kernels.march_points(
         seeds, rows, grid.i_min, grid.eps, params.a, params.m, 1.0,
-        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0,
-        pts_i, pts_j, coupled=False, cell_i=i, cell_j=j,
+        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0, pts_i, pts_j,
     )
     dd = (out[:, 3] - out[:, 1]) - (out[:, 2] - out[:, 0])
-    return np.column_stack([dd, out[:, 8]])
+    dw = _kernels._LayerNoise(seeds, 1).draw(i + j, i, 1, 0)[0] * grid.eps
+    return np.column_stack([dd, dw])
 
 
 def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:

@@ -112,10 +112,6 @@ class RotatedGrid:
                 f"[{self.i_min}, {self.i_max}] x [{self.j_min}, {self.j_max}], i+j >= 0"
             )
 
-    def point(self, i: int, j: int) -> RotPoint:
-        self.require_index(i, j)
-        return RotPoint(i * self.eps, j * self.eps)
-
     def index_of(self, q: RotPoint, tol: float = 1e-6) -> tuple[int, int]:
         """Lattice index of q; raises if q is off-lattice beyond tol grid units."""
         fi = q.tau * self.n

@@ -32,16 +32,6 @@ from .greens import (
     kernel_second_difference_lp,
 )
 
-EXPERIMENT_IDS = (
-    "green_identities",
-    "kernel_lemma",
-    "linear_variance",
-    "remainder_rate",
-    "quadvar_rate",
-    "estimator_consistency",
-    "oracle_check",
-)
-
 # largest replication chunk: memory bound for the layer buffers and
 # the largest work unit handed to a thread (see _chunk_sizes); results
 # are chunk-size independent by construction.
@@ -64,6 +54,24 @@ ORACLE_THRESHOLDS = {8: 0.10, 16: 0.055}
 
 _REMAINDER_POINTS = (RotPoint(0.25, 0.25), RotPoint(0.5, 0.5), RotPoint(0.75, 0.25))
 _SLOPE_WINDOW = (1.35, 1.65)
+
+# the model keys each experiment reads: key -> (default, floor or None).
+# Setting a key an experiment does not read is a usage error; seed, out
+# and jobs are read by all.  quadvar_rate's reps default is per part
+# (linear, nonlinear); a set value serves both parts
+_MODEL = {"a": (1.0, None), "m": (0.5, None), "theta": (1.0, None),
+          "diffusion": ("shifted_sine", None)}
+_SETTINGS = {
+    "green_identities": {},
+    "kernel_lemma": {"n": (256, 64)},
+    "linear_variance": {"a": _MODEL["a"], "m": _MODEL["m"], "n": (256, 64), "reps": (100000, 500)},
+    "remainder_rate": {**_MODEL, "n": (512, 128), "reps": (500, 100)},
+    "quadvar_rate": {**_MODEL, "n": (512, 256), "reps": ((500, 200), 100)},
+    "estimator_consistency": {**_MODEL, "theta": (2.0, None), "n": (512, 128), "reps": (200, 100)},
+    "oracle_check": {**_MODEL, "reps": (5, 1)},
+}
+_KEYS = (*_MODEL, "n", "reps")
+EXPERIMENT_IDS = tuple(_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -100,45 +108,53 @@ def _require(cond: bool, msg: str) -> None:
         raise UsageError(msg)
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig) -> dict:
+    """The keys cfg's experiment reads, defaults filled in, and its params.
+
+    Raises UsageError before the experiment starts: for an unknown
+    experiment, a key it does not read, a value below its floor, bad
+    equation parameters, or seeds past 2^64 at its largest replication
+    count.
+    """
     _require(
         cfg.experiment in EXPERIMENT_IDS,
         f"experiment must be one of {', '.join(EXPERIMENT_IDS)}, "
         f"got {cfg.experiment!r}",
     )
-    if cfg.n is not None:
-        _require(
-            cfg.n >= 2 and cfg.n & (cfg.n - 1) == 0,
-            f"n must be a power of two, got {cfg.n}",
-        )
-    if cfg.reps is not None:
-        _require(cfg.reps >= 1, f"reps must be at least 1, got {cfg.reps}")
+    table = _SETTINGS[cfg.experiment]
+    for key in _KEYS:
+        _require(key in table or getattr(cfg, key) is None,
+                 f"{cfg.experiment} does not read {key}")
     _require(cfg.jobs >= 1, f"jobs must be at least 1, got {cfg.jobs}")
     _require(cfg.seed >= 0, f"seed must be nonnegative, got {cfg.seed}")
     _require(cfg.seed < _SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
-    _resolve_params(cfg)  # raises UsageError on bad a/m/theta/diffusion
-
-
-def _resolve_params(cfg: ExperimentConfig) -> PhysParams:
-    theta_default = 2.0 if cfg.experiment == "estimator_consistency" else 1.0
-    return PhysParams(
-        a=1.0 if cfg.a is None else cfg.a,
-        m=0.5 if cfg.m is None else cfg.m,
-        theta=theta_default if cfg.theta is None else cfg.theta,
-        diffusion_id="shifted_sine" if cfg.diffusion is None else cfg.diffusion,
+    s = {}
+    for key, (default, floor) in table.items():
+        value = getattr(cfg, key)
+        if value is None:
+            s[key] = default
+            continue
+        if key == "n":
+            _require(value >= 2 and value & (value - 1) == 0,
+                     f"n must be a power of two, got {value}")
+        if floor is not None:
+            _require(value >= floor, f"{cfg.experiment} needs {key} >= {floor}, got {value}")
+        s[key] = (value,) * len(default) if isinstance(default, tuple) else value
+    s["params"] = PhysParams(  # raises UsageError on bad a/m/theta/diffusion
+        **{"diffusion_id" if k == "diffusion" else k: v
+           for k, v in s.items() if k in _MODEL}
     )
+    count = int(np.max(s.get("reps", 0)))
+    _require(
+        cfg.seed + count <= _SEED_LIMIT,
+        f"seed + replications must not exceed 2^64 (seeds are 64-bit keys), "
+        f"got seed {cfg.seed} with {count} replications",
+    )
+    return s
 
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
-
-
-def _require_seed_span(seed: int, count: int) -> None:
-    _require(
-        seed + count <= _SEED_LIMIT,
-        f"seed + replications must not exceed 2^64 (seeds are 64-bit keys), "
-        f"got seed {seed} with {count} replications",
-    )
 
 
 def _chunk_sizes(total: int, jobs: int) -> list[int]:
@@ -156,7 +172,6 @@ def _chunk_sizes(total: int, jobs: int) -> list[int]:
 
 def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
     """worker(seeds) -> (len(seeds), k); rows in seed order for any plan."""
-    _require_seed_span(master_seed, total)
     seeds = np.uint64(master_seed) + np.arange(total, dtype=np.uint64)
     plans = np.split(seeds, np.cumsum(_chunk_sizes(total, jobs))[:-1])
     if jobs <= 1 or len(plans) == 1:
@@ -185,7 +200,7 @@ def _xi_sweep(a: float, m: float):
     return xis
 
 
-def _run_green_identities(cfg: ExperimentConfig):
+def _run_green_identities(cfg: ExperimentConfig, s: dict):
     rows = []
     max_rel = 0.0
     zero_max = 0.0
@@ -226,9 +241,8 @@ def _run_green_identities(cfg: ExperimentConfig):
 # kernel_lemma
 
 
-def _run_kernel_lemma(cfg: ExperimentConfig):
-    n = 256 if cfg.n is None else cfg.n
-    _require(n >= 64, f"kernel_lemma needs n >= 64 for a slope fit, got {n}")
+def _run_kernel_lemma(cfg: ExperimentConfig, s: dict):
+    n = s["n"]
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
     rows = []
     configs = {}
@@ -287,13 +301,8 @@ def _run_kernel_lemma(cfg: ExperimentConfig):
 # linear_variance
 
 
-def _run_linear_variance(cfg: ExperimentConfig):
-    params = _resolve_params(cfg)
-    n = 256 if cfg.n is None else cfg.n
-    _require(n >= 64, f"linear_variance needs n >= 64, got {n}")
-    base = 100000 if cfg.reps is None else cfg.reps
-    _require(base >= 500, f"linear_variance needs reps >= 500, got {base}")
-    _require_seed_span(cfg.seed, base)  # before the smaller levels run
+def _run_linear_variance(cfg: ExperimentConfig, s: dict):
+    params, n, base = s["params"], s["n"], s["reps"]
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
     point = RotPoint(0.5, 0.5)
     rows = []
@@ -383,13 +392,9 @@ def _mapping_gap(seed: int) -> float:
     return gap
 
 
-def _run_remainder_rate(cfg: ExperimentConfig):
-    params = _resolve_params(cfg)
+def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
+    params, n, reps = s["params"], s["n"], s["reps"]
     F = solver.coefficient_from_id(params.diffusion_id)
-    n = 512 if cfg.n is None else cfg.n
-    _require(n >= 128, f"remainder_rate needs n >= 128, got {n}")
-    reps = 500 if cfg.reps is None else cfg.reps
-    _require(reps >= 100, f"remainder_rate needs reps >= 100, got {reps}")
     eps_list = [2.0**-k for k in range(4, 10) if 2.0**-k >= 1.0 / n]
     points = _REMAINDER_POINTS
     grid, _ = _remainder_window(n, eps_list, points)
@@ -464,7 +469,7 @@ def _run_remainder_rate(cfg: ExperimentConfig):
         "plus_sign_note": (
             "when the forward stencil shrinks to a single lattice cell "
             "(eps = 1/n) the scheme's own-cell noise term cancels exactly "
-            "against F(v at the stencil base) and the remainder drops to "
+            "against theta*F(v at the stencil base) and the remainder drops to "
             "eps^2 order, steepening the fitted plus-side slopes; "
             "slope_excl_unit_cell refits without that final point"
         ),
@@ -492,56 +497,45 @@ def _qv_rows(name, cfg, params, F, n_list, reps):
     return per_n
 
 
-def _run_quadvar_rate(cfg: ExperimentConfig):
-    n_top = 512 if cfg.n is None else cfg.n
-    _require(n_top >= 256, f"quadvar_rate needs n >= 256, got {n_top}")
-    rows = []
-    cols = ("part", "N", "reps", "mean_qn", "se_qn", "var_qn", "mean_gap", "se_gap")
-
-    # linear part: undamped massive field, where the N^-1 variance bound
-    # can be checked against a clean mean
+def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):
+    n_top = s["n"]
+    # the linear part is the undamped massive field with F = 1, where the
+    # N^-1 variance bound can be checked against a clean mean; its sum of
+    # F^2 is exactly N^2, so its gap is |Q_N - 1/4|
     lin_params = PhysParams(a=0.0, m=1.0, theta=1.0, diffusion_id="constant_one")
-    lin_F = solver.constant_one()
-    lin_reps = 500 if cfg.reps is None else cfg.reps
-    _require(lin_reps >= 100, f"quadvar_rate needs reps >= 100, got {lin_reps}")
-    lin_ns = [N for N in (64, 128, 256) if N <= n_top]
-    lin = _qv_rows("quadvar_rate", cfg, lin_params, lin_F, lin_ns, lin_reps)
-    mean_ok = True
-    variances = []
-    for N in lin_ns:
-        qn = lin[N][:, 0]
-        gap = np.abs(qn - 0.25)
-        mean = float(qn.mean())
-        se = float(qn.std(ddof=1)) / math.sqrt(lin_reps)
-        var = float(qn.var(ddof=1))
-        variances.append(var)
-        mean_ok = mean_ok and abs(mean - 0.25) <= 3.0 * se
-        rows.append(
-            ("linear", N, lin_reps, mean, se, var,
-             float(gap.mean()), float(gap.std(ddof=1)) / math.sqrt(lin_reps))
-        )
-    var_fit = analysis.fit_loglog(lin_ns, variances)
+    parts = {
+        "linear": (lin_params, (64, 128, 256), s["reps"][0]),
+        "nonlinear": (s["params"], (64, 128, 256, 512), s["reps"][1]),
+    }
+    cols = ("part", "N", "reps", "mean_qn", "se_qn", "var_qn", "mean_gap", "se_gap")
+    rows = []
+    for part, (params, ns, reps) in parts.items():
+        F = solver.coefficient_from_id(params.diffusion_id)
+        per_n = _qv_rows("quadvar_rate", cfg, params, F, [N for N in ns if N <= n_top], reps)
+        for N, out in per_n.items():
+            qn, sf = out[:, 0], out[:, 1]
+            gap = np.abs(qn - 0.25 * params.theta * params.theta * sf / (N * N))
+            rows.append(
+                (part, N, reps, float(qn.mean()),
+                 float(qn.std(ddof=1)) / math.sqrt(reps), float(qn.var(ddof=1)),
+                 float(gap.mean()), float(gap.std(ddof=1)) / math.sqrt(reps))
+            )
+
+    def column(part, name):
+        return [row[cols.index(name)] for row in rows if row[0] == part]
+
+    lin_ns = column("linear", "N")
+    mean_ok = all(
+        abs(mean - 0.25) <= 3.0 * se
+        for mean, se in zip(column("linear", "mean_qn"), column("linear", "se_qn"))
+    )
+    var_fit = analysis.fit_loglog(lin_ns, column("linear", "var_qn"))
     var_in_window = -1.3 <= var_fit.slope <= -0.7
     var_bound_dir = var_fit.slope <= -0.7
 
     # nonlinear part: gap to the Riemann limit functional
-    params = _resolve_params(cfg)
-    F = solver.coefficient_from_id(params.diffusion_id)
-    nl_reps = 200 if cfg.reps is None else cfg.reps
-    nl_ns = [N for N in (64, 128, 256, 512) if N <= n_top]
-    nl = _qv_rows("quadvar_rate", cfg, params, F, nl_ns, nl_reps)
-    gaps = []
-    for N in nl_ns:
-        qn, sf = nl[N][:, 0], nl[N][:, 1]
-        gap = np.abs(qn - 0.25 * params.theta * params.theta * sf / (N * N))
-        mg = float(gap.mean())
-        gaps.append(mg)
-        rows.append(
-            ("nonlinear", N, nl_reps, float(qn.mean()),
-             float(qn.std(ddof=1)) / math.sqrt(nl_reps), float(qn.var(ddof=1)),
-             mg, float(gap.std(ddof=1)) / math.sqrt(nl_reps))
-        )
-    gap_fit = analysis.fit_loglog(nl_ns, gaps)
+    nl_ns = column("nonlinear", "N")
+    gap_fit = analysis.fit_loglog(nl_ns, column("nonlinear", "mean_gap"))
     gap_decay = -gap_fit.slope  # positive when the gap shrinks with N
     gap_in_window = 0.35 <= gap_decay <= 0.65
     gap_bound_dir = gap_decay >= 0.35
@@ -573,13 +567,9 @@ def _run_quadvar_rate(cfg: ExperimentConfig):
 # estimator_consistency
 
 
-def _run_estimator_consistency(cfg: ExperimentConfig):
-    params = _resolve_params(cfg)
+def _run_estimator_consistency(cfg: ExperimentConfig, s: dict):
+    params, n_top, reps = s["params"], s["n"], s["reps"]
     F = solver.coefficient_from_id(params.diffusion_id)
-    n_top = 512 if cfg.n is None else cfg.n
-    _require(n_top >= 128, f"estimator_consistency needs n >= 128, got {n_top}")
-    reps = 200 if cfg.reps is None else cfg.reps
-    _require(reps >= 100, f"estimator_consistency needs reps >= 100, got {reps}")
     n_list = [N for N in (64, 128, 256, 512) if N <= n_top]
     rows = []
     medians = []
@@ -615,11 +605,9 @@ def _run_estimator_consistency(cfg: ExperimentConfig):
 # oracle_check
 
 
-def _run_oracle_check(cfg: ExperimentConfig):
-    params = _resolve_params(cfg)
+def _run_oracle_check(cfg: ExperimentConfig, s: dict):
+    params, n_seeds = s["params"], s["reps"]
     F = solver.coefficient_from_id(params.diffusion_id)
-    n_seeds = 5 if cfg.reps is None else cfg.reps
-    _require_seed_span(cfg.seed, n_seeds)
     rows = []
     max_by_n = {}
     for n in (8, 16):
@@ -661,9 +649,9 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    validate_config(cfg)
+    settings = validate_config(cfg)
     t0 = time.perf_counter()
-    cols, rows, summary, passed = _RUNNERS[cfg.experiment](cfg)
+    cols, rows, summary, passed = _RUNNERS[cfg.experiment](cfg, settings)
     # out and jobs never change results, so they stay out of the echo
     echo = {
         "experiment": cfg.experiment,

@@ -21,6 +21,8 @@ import pytest
 
 from kgqv.experiments import ExperimentConfig, ORACLE_THRESHOLDS, run
 
+pytestmark = pytest.mark.slow
+
 SEED = 0
 
 

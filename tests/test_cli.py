@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqv import cli
+from kgqv import cli, experiments
 from kgqv.errors import NumericError
 from kgqv.experiments import EXPERIMENT_IDS, ExperimentReport
 
@@ -47,7 +47,7 @@ class TestUsageErrors:
 
     def test_non_power_of_two_resolution(self, capsys):
         rc, _, err = run_main(
-            ["run", "--experiment", "oracle_check", "--n", "100"], capsys
+            ["run", "--experiment", "linear_variance", "--n", "100"], capsys
         )
         assert rc == 2
         assert "power of two" in err
@@ -131,6 +131,47 @@ class TestUsageErrors:
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "2^64" in err
+
+    @pytest.mark.parametrize(
+        "exp,n", [("remainder_rate", 128), ("quadvar_rate", 256), ("estimator_consistency", 128)]
+    )
+    def test_seed_span_error_comes_before_any_progress_line(self, exp, n, tmp_path, capsys):
+        rc, out, err = run_main(
+            ["run", "--experiment", exp, "--n", str(n), "--reps", "100",
+             "--seed", str(2**64 - 16), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: seed + replications must not exceed 2^64"), err
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--experiment", "green_identities", "--n", "64"], None,
+             "green_identities does not read n"),
+            (["--experiment", "linear_variance", "--n", "64", "--reps", "500",
+              "--theta", "2.0"], None,
+             "linear_variance does not read theta"),
+            ([], {"experiment": "kernel_lemma", "reps": 100},
+             "kernel_lemma does not read reps"),
+            ([], {"experiment": "oracle_check", "n": 16},
+             "oracle_check does not read n"),
+        ],
+    )
+    def test_a_key_the_experiment_does_not_read_exits_two(
+        self, args, config, message, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        rc, stdout, err = run_main(["run", *args, "--out", str(out)], capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--a", "nan"), ("--theta", "inf")])
     def test_non_finite_parameter_is_a_usage_error(
@@ -311,18 +352,10 @@ class TestDeterminism:
         assert blobs[1] == blobs[3]
 
 
-# the smallest --n and --reps each experiment accepts, so a drawn config
-# that validates runs in about a second; quadvar_rate gets an n below its
-# minimum of 256, where one run takes seconds
-SMALLEST = {
-    "green_identities": (8, 1),
-    "kernel_lemma": (64, 1),
-    "linear_variance": (64, 500),
-    "remainder_rate": (128, 100),
-    "quadvar_rate": (128, 100),
-    "estimator_consistency": (128, 100),
-    "oracle_check": (8, 2),
-}
+# --n and --reps at each experiment's floor, so a drawn config that
+# validates runs in about a second; quadvar_rate gets an n below its
+# floor of 256, where one run takes seconds
+SMALLEST = {("quadvar_rate", "n"): 128}
 VALID = {
     "--a": ["0.5", "1.0"],
     "--m": ["0.3", "0.5"],
@@ -331,6 +364,10 @@ VALID = {
     "--seed": ["0", "3"],
     "--jobs": ["1", "2", "3"],
 }
+# a well-formed value of each model key, set where the experiment does
+# not read it
+UNREAD = {"--a": "0.5", "--m": "0.5", "--theta": "2.0", "--diffusion": "affine",
+          "--n": "64", "--reps": "100"}
 INVALID = {
     "--experiment": ["nope"],
     "--n": ["0", "3", "x"],
@@ -344,16 +381,30 @@ INVALID = {
 }
 
 
+def unread_flags(exp):
+    return [f for f in UNREAD if f[2:] not in experiments._SETTINGS[exp]]
+
+
 @st.composite
 def small_configs(draw):
-    """A small valid command line, with one flag made invalid half the time."""
+    """A small command line of the keys the experiment reads, with a key
+    it does not read some of the time and one flag made invalid half the
+    time."""
     exp = draw(st.sampled_from(EXPERIMENT_IDS))
-    n, reps = SMALLEST[exp]
-    flags = {"--experiment": exp, "--n": str(n), "--reps": str(reps)}
+    table = experiments._SETTINGS[exp]
+    flags = {"--experiment": exp}
+    for key in ("n", "reps"):
+        if key in table:
+            flags[f"--{key}"] = str(SMALLEST.get((exp, key), table[key][1]))
     for flag, values in VALID.items():
-        value = draw(st.none() | st.sampled_from(values))
-        if value is not None:
-            flags[flag] = value
+        if flag in ("--seed", "--jobs") or flag[2:] in table:
+            value = draw(st.none() | st.sampled_from(values))
+            if value is not None:
+                flags[flag] = value
+    unread = unread_flags(exp)
+    if unread and draw(st.integers(0, 3)) == 0:
+        flag = draw(st.sampled_from(unread))
+        flags[flag] = UNREAD[flag]
     if draw(st.booleans()):
         flag = draw(st.sampled_from(sorted(INVALID)))
         flags[flag] = draw(st.sampled_from(INVALID[flag]))
@@ -376,6 +427,9 @@ class TestContract:
                 except SystemExit as exc:  # argparse rejects a malformed flag
                     rc = exc.code
         assert rc in (0, 1, 2, 3)
+        exp = args[args.index("--experiment") + 1]
+        if exp in EXPERIMENT_IDS and any(f in args for f in unread_flags(exp)):
+            assert rc == 2, err.getvalue()
         if rc in (0, 1):
             json.loads(out.getvalue(), parse_constant=_no_constant)
         else:
@@ -384,10 +438,17 @@ class TestContract:
             # numeric failure may follow progress lines, which name the experiment
             text = err.getvalue()
             if rc == 3:
-                exp = args[args.index("--experiment") + 1]
                 while text.startswith(f"{exp}:"):
                     text = text.split("\n", 1)[1]
             assert text.startswith("error:"), err.getvalue()
+
+
+def _settings_cell(entry):
+    if entry is None:
+        return "-"
+    default, floor = entry
+    text = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    return text if floor is None else f"{text} (>= {floor})"
 
 
 class TestReadme:
@@ -403,6 +464,20 @@ class TestReadme:
             if s.startswith("--") and s != "--help"
         ]
         assert re.findall(r"--\w+", block) == flags
+
+    def test_run_key_table_matches_the_settings(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        head = "| experiment | " + " | ".join(experiments._KEYS) + " |\n"
+        table = readme.split(head, 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+        got = {}
+        for line in table:
+            exp, *cells = [c.strip() for c in line.strip("|").split("|")]
+            got[exp] = cells
+        want = {
+            exp: [_settings_cell(keys.get(k)) for k in experiments._KEYS]
+            for exp, keys in experiments._SETTINGS.items()
+        }
+        assert got == want
 
 
 class TestStartup:

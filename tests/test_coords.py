@@ -66,9 +66,6 @@ class TestGrid:
         assert g.i_max == g.j_max == 8
         assert g.i_min == g.j_min == -8
         assert g.shape == (17, 17)
-        q = g.point(2, 3)
-        assert q.tau == pytest.approx(0.25)
-        assert q.lam == pytest.approx(0.375)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(UsageError):
@@ -81,7 +78,7 @@ class TestGrid:
         assert g.contains_index(-2, 2)
         assert not g.contains_index(-2, 1)
         with pytest.raises(DomainError):
-            g.point(-3, 2)
+            g.require_index(-3, 2)
 
     def test_index_of_alignment(self):
         g = RotatedGrid(8)

@@ -39,7 +39,7 @@ class TestConfigValidation:
             experiments.validate_config(ExperimentConfig(experiment="greens"))
 
     def test_non_power_of_two_resolution(self):
-        cfg = ExperimentConfig(experiment="oracle_check", n=100)
+        cfg = ExperimentConfig(experiment="linear_variance", n=100)
         with pytest.raises(UsageError, match="power of two"):
             experiments.validate_config(cfg)
 
@@ -92,12 +92,31 @@ class TestConfigValidation:
             experiments.validate_config(cfg)
 
     def test_estimator_default_theta_is_two(self):
-        p = experiments._resolve_params(
+        p = experiments.validate_config(
             ExperimentConfig(experiment="estimator_consistency")
-        )
+        )["params"]
         assert p.theta == 2.0
-        q = experiments._resolve_params(ExperimentConfig(experiment="quadvar_rate"))
-        assert q.theta == 1.0
+        q = experiments.validate_config(ExperimentConfig(experiment="quadvar_rate"))
+        assert q["params"].theta == 1.0
+
+    @pytest.mark.parametrize("exp", sorted(experiments._SETTINGS))
+    def test_a_key_the_experiment_does_not_read_is_refused(self, exp):
+        table = experiments._SETTINGS[exp]
+        values = {"a": 0.5, "m": 0.5, "theta": 2.0, "diffusion": "affine",
+                  "n": 512, "reps": 1000}
+        for key, value in values.items():
+            cfg = ExperimentConfig(experiment=exp, **{key: value})
+            if key in table:
+                experiments.validate_config(cfg)
+            else:
+                with pytest.raises(UsageError, match=f"^{exp} does not read {key}$"):
+                    experiments.validate_config(cfg)
+
+    def test_quadvar_reps_default_per_part_and_set_for_both(self):
+        default = experiments.validate_config(ExperimentConfig(experiment="quadvar_rate"))
+        assert default["reps"] == (500, 200)
+        cfg = ExperimentConfig(experiment="quadvar_rate", reps=300)
+        assert experiments.validate_config(cfg)["reps"] == (300, 300)
 
     def test_experiment_size_floors(self):
         for exp, n in [
@@ -177,10 +196,16 @@ class TestSeedRows:
             return seeds[:, None]
 
         top = 2**64 - 3
+        cfg = ExperimentConfig(experiment="oracle_check", seed=top, reps=3)
+        experiments.validate_config(cfg)
         out = experiments._seed_rows(worker, top, 3, jobs=2)
         assert out.ravel().tolist() == [top, top + 1, top + 2]
-        with pytest.raises(UsageError, match="2\\^64"):
-            experiments._seed_rows(worker, top, 4, jobs=2)
+        # quadvar_rate's default spans its larger part, 500 seeds
+        for exp, seed, reps in [("oracle_check", top, 4), ("quadvar_rate", 2**64 - 499, None)]:
+            cfg = ExperimentConfig(experiment=exp, seed=seed, reps=reps)
+            with pytest.raises(UsageError, match="2\\^64"):
+                experiments.validate_config(cfg)
+        experiments.validate_config(ExperimentConfig(experiment="quadvar_rate", seed=2**64 - 500))
 
 
 class TestTheta:
@@ -275,7 +300,7 @@ RUN_SHA256 = {
     ),
     ("remainder_rate", "--n", "128", "--reps", "100"): (
         "7b36297c8757144dd85076442a541d7afcec1f9788fd4e8723cc420b440a3bd1",
-        "651822798579e125ba59c814a8eda9148c88475889b857c2c9030a7cf447b7ec",
+        "c870c3bd6e199f139ac2add95533043458d150c30d4a0baff16ec3f42d6bc369",
     ),
     ("quadvar_rate", "--n", "256", "--reps", "100"): (
         "63035d1437c3973792082e638545f229ffb6b73095ccae3a5f769b1d95c9af9a",

@@ -61,12 +61,14 @@ def test_march_points_matches_window_march(theta, F, i_max, j_max, coupled):
     params = PhysParams(a=1.0, m=0.5, theta=theta, diffusion_id=F.id)
     pts_i, pts_j = window_points(grid)
     K = pts_i.shape[0]
-    cell_i, cell_j = 1, 0
     out = _kernels.march_points(
         SEEDS, grid.shape[0], grid.i_min, grid.eps,
         params.a, params.m, params.theta, F.fid, F.p0, F.p1, F(0.0),
-        pts_i, pts_j, coupled=coupled, cell_i=cell_i, cell_j=cell_j,
+        pts_i, pts_j, coupled=coupled,
     )
+    # the draw increment_samples takes a cell increment from
+    cell_i, cell_j = 1, 0
+    dw = _kernels._LayerNoise(SEEDS, 1).draw(cell_i + cell_j, cell_i, 1, 0)[0] * grid.eps
     rows = pts_i - grid.i_min
     cols = pts_j - grid.j_min
     for r, seed in enumerate(SEEDS):
@@ -78,7 +80,7 @@ def test_march_points_matches_window_march(theta, F, i_max, j_max, coupled):
             assert out[r, K : 2 * K].tobytes() == V.values[rows, cols].tobytes()
         else:
             assert not out[r, K : 2 * K].any()
-        assert out[r, 2 * K] == nf.increment_over_cell(cell_i, cell_j)
+        assert dw[r] == nf.increment_over_cell(cell_i, cell_j)
 
 
 def layer_order_sums(v, F, N):
@@ -143,8 +145,7 @@ def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
     def rows(seeds):
         return _kernels.march_points(
             seeds, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
-            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j,
-            coupled=coupled, cell_i=2, cell_j=1,
+            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
         )
 
     together = rows(SEEDS)
@@ -227,11 +228,14 @@ def test_march_points_rows_match_recorded(n, coupled):
     grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 3)
     pts_i, pts_j = window_points(grid)
     keep = (pts_i + pts_j <= 2) | ((3 * pts_i + pts_j) % 13 == 0)
-    out = _kernels.march_points(
+    points = _kernels.march_points(
         ROW_SEEDS, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
-        F.fid, F.p0, F.p1, F(0.0), pts_i[keep], pts_j[keep],
-        coupled=coupled, cell_i=n // 4, cell_j=n // 4 - 1,
+        F.fid, F.p0, F.p1, F(0.0), pts_i[keep], pts_j[keep], coupled=coupled,
     )
+    # the hashes were recorded with the increment of cell (n/4, n/4 - 1)
+    # as a last column, which the march drew for that cell
+    cell = _kernels._LayerNoise(ROW_SEEDS, 1).draw(n // 2 - 1, n // 4, 1, 0)[0] * grid.eps
+    out = np.column_stack([points, cell])
     assert hashlib.sha256(out.tobytes()).hexdigest() == POINTS_SHA256[n, coupled]
 
 

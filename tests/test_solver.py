@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kgqv import _kernels, noise
-from kgqv.coords import PhysPoint, RotatedGrid
+from kgqv.coords import PhysPoint, RotatedGrid, RotPoint
 from kgqv.errors import DomainError, NumericError, OracleError, UsageError
 from kgqv.greens import PhysParams
 from kgqv.solver import (
@@ -306,9 +306,9 @@ class TestFieldSample:
         nf = noise.generate(RotatedGrid(8), 1)
         v = march(PhysParams(), constant_one(), nf)
         g = nf.grid
-        assert v.value(*g.index_of(g.point(3, 2))) == v.value(3, 2)
+        assert v.value(*g.index_of(RotPoint(3 * g.eps, 2 * g.eps))) == v.value(3, 2)
         fp = v.phys_function()
-        q = g.point(4, 1)
+        q = RotPoint(4 * g.eps, 1 * g.eps)
         t = (q.tau + q.lam) / SQRT2
         x = (q.lam - q.tau) / SQRT2
         assert fp(PhysPoint(t, x)) == v.value(4, 1)
