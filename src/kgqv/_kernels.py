@@ -7,7 +7,17 @@ replication kernels, (slot, field) blocks in the stored-window marches,
 which read and write their L x L windows _LAYER_BLOCK layers at a time.
 The two replication kernels share one layer loop, _march_layers:
 march_points records points from the layers it yields, march_qv adds
-up Q_N and the sum of F^2.
+up Q_N and the sum of F^2.  One loop can step several windows in
+lock-step from one noise draw, as march_qv does for the resolutions of
+a quadratic-variation sweep: a normal is a pure function of its
+lattice index, so each layer is drawn once, for the widest window, and
+every other window steps on a row slice of that draw, scaled by its
+own eps.  That needs the windows to nest: at layer s the draw covers
+cells i0 + s - 1 .. i0 + L0 - 2 of the widest window (L0 rows from
+i_min = i0), and a window (L, i_min) needs i_min + s - 1 .. i_min + L - 2,
+which lies inside for every s exactly when i0 <= i_min and
+i_min + L <= i0 + L0.  The [0,N]^2 windows (L = 2N + 1, i_min = -N)
+nest for every N up to the widest.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
@@ -390,46 +400,61 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 # batched marching with in-kernel noise (replication workhorses)
 
 
-def _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled):
-    """One march per seed, yielded layer by layer: s, X, A, B, fb, X2.
+def _march_layers(seeds, windows, a, m, theta, fid, p0, p1, f0, coupled=False):
+    """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb, X2.
 
-    X is layer s = 1 .. L-1, A and B the two layers before it, all
-    (slot k, replication) buffers of which the first c = L - s slots of X
-    are live; fb = F(B[1 : c+1]) are the c bottom coefficients of the
-    layer, and X2 the coupled linear field (F ident 1, theta 1, same
-    noise) when `coupled`, else None.  Layer 1 comes from the boundary
-    triangles: its cells have their bottoms below the initial line, so
-    it has no cell increment.  Buffers are reused, so a layer must be
-    read before the next one is asked for.
+    `windows` lists (L, i_min, eps) per march; the first is the widest,
+    and every other must nest in it, since they all step on its draw
+    (see the module docstring).  Layer s = 1 .. L-1 of each window still
+    marching is yielded in list order, w being the window's place in the
+    list.  X is layer s, A and B the two layers before it, all (slot k,
+    replication) buffers of which the first c = L - s slots of X are
+    live; fb = F(B[1 : c+1]) are the c bottom coefficients of the layer,
+    and X2 the coupled linear field (F ident 1, theta 1, same noise) when
+    `coupled`, else None.  Layer 1 comes from the boundary triangles: its
+    cells have their bottoms below the initial line, so it has no cell
+    increment.  Buffers are reused, so a yield must be read before the
+    next one is asked for.
     """
-    beta, th2, drh = _rates(eps, a, m, theta)
-    beta2 = beta * beta
-    tri = eps / _SQRT2
+    L0, i0, _ = windows[0]
     R = seeds.shape[0]
-    noise = _LayerNoise(seeds, L - 1)
-    B, A, X = (np.zeros((L + 1, R)) for _ in range(3))
-    B2, A2, X2 = (np.zeros((L + 1, R)) for _ in range(3)) if coupled else (None,) * 3
-    dw_buf, fb_buf, drive_buf, tmp = (np.empty((L, R)) for _ in range(4))
-    z1 = noise.draw(1, i_min + 1, L - 1, 1)
-    X[: L - 1] = th2 * f0 * tri * z1
-    if coupled:
-        X2[: L - 1] = 0.5 * tri * z1
-    for s in range(1, L):
-        c = L - s
-        fb = _f_eval_np(fid, p0, p1, B[1 : c + 1], out=fb_buf[:c])
-        if s > 1:
-            dw = np.multiply(noise.draw(s - 2, i_min + s - 1, c, 0), eps, out=dw_buf[:c])
-            drive = drive_buf[:c]
-            np.multiply(fb, th2, out=drive)
-            drive *= dw
-            _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
-            if coupled:
-                np.multiply(dw, 0.5, out=drive)
-                _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
-        yield s, X, A, B, fb, X2
-        B, A, X = A, X, B
+    noise = _LayerNoise(seeds, L0 - 1)
+    dw_buf, fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(4))
+    z1 = noise.draw(1, i0 + 1, L0 - 1, 1)
+    marches = []
+    for L, i_min, eps in windows:
+        o = i_min - i0  # the window's first row in the widest window's draw
+        if o < 0 or o + L > L0:
+            raise UsageError("every window must nest in the first")
+        tri = eps / _SQRT2
+        beta, th2, drh = _rates(eps, a, m, theta)
+        # [B, A, X] of the field, then of the coupled linear field
+        fields = [[np.zeros((L + 1, R)) for _ in range(3)] for _ in range(1 + coupled)]
+        fields[0][2][: L - 1] = th2 * f0 * tri * z1[o : o + L - 1]
         if coupled:
-            B2, A2, X2 = A2, X2, B2
+            fields[1][2][: L - 1] = 0.5 * tri * z1[o : o + L - 1]
+        marches.append((L, o, eps, beta, beta * beta, th2, drh, fields))
+    for s in range(1, L0):
+        z = noise.draw(s - 2, i0 + s - 1, L0 - s, 0) if s > 1 else None
+        for w, (L, o, eps, beta, beta2, th2, drh, fields) in enumerate(marches):
+            if s >= L:
+                continue
+            c = L - s
+            B, A, X = fields[0]
+            fb = _f_eval_np(fid, p0, p1, B[1 : c + 1], out=fb_buf[:c])
+            if s > 1:
+                dw = np.multiply(z[o : o + c], eps, out=dw_buf[:c])
+                drive = drive_buf[:c]
+                np.multiply(fb, th2, out=drive)
+                drive *= dw
+                _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
+                if coupled:
+                    np.multiply(dw, 0.5, out=drive)
+                    B2, A2, X2 = fields[1]
+                    _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
+            yield w, s, X, A, B, fb, fields[1][2] if coupled else None
+            for f in fields:
+                f[:] = f[1], f[2], f[0]
 
 
 @_quiet
@@ -453,8 +478,8 @@ def march_points(
     at_layer = {}
     for t in range(K):
         at_layer.setdefault(int(pts_i[t] + pts_j[t]), []).append((t, -i_min - int(pts_j[t])))
-    layers = _march_layers(seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, coupled)
-    for s, X, _, _, _, X2 in layers:
+    layers = _march_layers(seeds, [(L, i_min, eps)], a, m, theta, fid, p0, p1, f0, coupled)
+    for _, s, X, _, _, _, X2 in layers:
         for t, kt in at_layer.get(s, ()):
             out[:, t] = X[kt]
             if coupled:
@@ -464,7 +489,7 @@ def march_points(
 
 
 @_quiet
-def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
+def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
     """Quadratic-variation pass: march on the [0,N]^2 dependency window.
 
     Returns (R, 2): column 0 the sum of squared raw double increments
@@ -474,23 +499,37 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m):
     cells of one anti-diagonal are added one by one into a partial sum,
     which is then added to the running total, whatever the chunk of
     seeds.
+
+    `coarser` lists further resolutions, none above N, marched in
+    lock-step from N's noise draw; their column pairs follow N's in the
+    order given, each equal byte for byte to march_qv at that resolution
+    alone.
     """
     seeds = _seed_array(seeds)
-    L = 2 * N + 1
-    qn = np.zeros(seeds.shape[0])
-    sf = np.zeros(seeds.shape[0])
-    layers = _march_layers(seeds, L, -N, 1.0 / N, a, m, theta, fid, p0, p1, f0, False)
-    for s, X, A, B, fb, _ in layers:
-        # slots k whose cell bottom (s - 1 - N + k, N - 1 - k) is in [0, N)^2
-        lo = max(0, N + 1 - s)
-        hi = min(L - s, N)
+    R = seeds.shape[0]
+    Ns = (N, *coarser)
+    sums = np.zeros((2 * len(Ns), R))
+    # the reduction's scratch: a layer holds at most N cells of [0, N)^2
+    sq, acc = np.empty((N, R)), np.empty((N, R))
+    windows = [(2 * n + 1, -n, 1.0 / n) for n in Ns]
+    layers = _march_layers(seeds, windows, a, m, theta, fid, p0, p1, f0)
+    for w, s, X, A, B, fb, _ in layers:
+        n = Ns[w]
+        # slots k whose cell bottom (s - 1 - n + k, n - 1 - k) is in [0, n)^2
+        lo = max(0, n + 1 - s)
+        hi = min(2 * n + 1 - s, n)
         if lo < hi:
-            dd = X[lo:hi] - A[lo:hi] - A[lo + 1 : hi + 1] + B[lo + 1 : hi + 1]
+            k = hi - lo
+            d = sq[:k]
+            np.subtract(X[lo:hi], A[lo:hi], out=d)
+            d -= A[lo + 1 : hi + 1]
+            d += B[lo + 1 : hi + 1]
+            d *= d
             # add the layer's cells one at a time in slot order, whatever
             # the chunk size (np.sum would go pairwise for a single row)
-            qn += np.add.accumulate(dd * dd, axis=0)[-1]
-            f = fb[lo:hi]
-            sf += np.add.accumulate(f * f, axis=0)[-1]
-    out = np.column_stack([qn, sf])
+            sums[2 * w] += np.add.accumulate(d, axis=0, out=acc[:k])[-1]
+            np.multiply(fb[lo:hi], fb[lo:hi], out=d)
+            sums[2 * w + 1] += np.add.accumulate(d, axis=0, out=acc[:k])[-1]
+    out = np.ascontiguousarray(sums.T)
     _finite(out)
     return out

@@ -30,7 +30,7 @@ _RUN_KEYS = {
     "reps": (int, "replications per configuration"),
     "seed": (int, "master seed"),
     "out": (str, "output directory for the CSV"),
-    "jobs": (int, "worker threads"),
+    "jobs": (int, "worker threads (default: the CPUs this process may run on)"),
 }
 # a config-file value of each key type, as the error messages name it
 _KINDS = {float: "a number", int: "an integer", str: "a string"}

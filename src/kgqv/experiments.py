@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +75,14 @@ _KEYS = (*_MODEL, "n", "reps")
 EXPERIMENT_IDS = tuple(_SETTINGS)
 
 
+def _default_jobs() -> int:
+    """The CPUs this process may run on, where the platform tells."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat run description; None means the experiment's own default."""
@@ -87,7 +96,7 @@ class ExperimentConfig:
     reps: int | None = None
     seed: int = 0
     out: str = "."
-    jobs: int = 1
+    jobs: int = field(default_factory=_default_jobs)
 
 
 @dataclass
@@ -358,11 +367,11 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
 # remainder_rate
 
 
-def _remainder_window(n: int, eps_list, points):
+def _remainder_window(n: int, eps_list, points) -> RotatedGrid:
     kmax = max(int(round(e * n)) for e in eps_list)
     i_max = max(int(round(q.tau * n)) for q in points) + kmax
     j_max = max(int(round(q.lam * n)) for q in points) + kmax
-    return RotatedGrid(n, i_max=i_max, j_max=j_max), kmax
+    return RotatedGrid(n, i_max=i_max, j_max=j_max)
 
 
 def _mapping_gap(seed: int) -> float:
@@ -397,7 +406,7 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     F = solver.coefficient_from_id(params.diffusion_id)
     eps_list = [2.0**-k for k in range(4, 10) if 2.0**-k >= 1.0 / n]
     points = _REMAINDER_POINTS
-    grid, _ = _remainder_window(n, eps_list, points)
+    grid = _remainder_window(n, eps_list, points)
     rows_grid, _ = grid.shape
 
     # one column per distinct stencil vertex, shared across eps values
@@ -484,17 +493,26 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
 
 
 def _qv_rows(name, cfg, params, F, n_list, reps):
-    per_n = {}
+    """{N: (reps, 2) rows of (Q_N, sum F^2)} for the ascending n_list.
+
+    One march_qv call per chunk marches every N: the coarser windows
+    nest in the finest and step on its noise draw, so each normal is
+    drawn once for all resolutions, and every N's rows equal those of
+    its own march byte for byte.
+    """
     for N in n_list:
         _progress(f"{name}: N={N} reps={reps} F={F.id} a={params.a:g}")
+    top, coarser = n_list[-1], tuple(n_list[:-1])
 
-        def worker(seeds, N=N):
-            return _kernels.march_qv(
-                seeds, N, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m
-            )
+    def worker(seeds):
+        return _kernels.march_qv(
+            seeds, top, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m,
+            coarser=coarser,
+        )
 
-        per_n[N] = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
-    return per_n
+    out = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
+    cols = {N: out[:, 2 * w : 2 * w + 2] for w, N in enumerate((top, *coarser))}
+    return {N: cols[N] for N in n_list}
 
 
 def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):

@@ -292,16 +292,38 @@ class TestRuns:
     def test_overflow_puts_only_progress_lines_before_the_error(self, tmp_path):
         # the summary statistics overflow at theta = 1e200; numpy's warnings
         # used to land on stderr between the progress line and the error.
-        # A fresh process shows them: pytest would record them instead
-        r = run_proc(
-            ["run", "--experiment", "remainder_rate", "--n", "128", "--reps", "100",
-             "--theta", "1e200", "--out", str(tmp_path)]
-        )
-        assert r.returncode == 3
-        assert r.stdout == ""
-        *progress, last = r.stderr.splitlines()
-        assert all(line.startswith("remainder_rate:") for line in progress), r.stderr
-        assert last.startswith("error:")
+        # A fresh process shows them: pytest would record them instead.
+        # Two threads march the chunks, and the error still comes last
+        for exp in ("remainder_rate", "estimator_consistency"):
+            r = run_proc(
+                ["run", "--experiment", exp, "--n", "128", "--reps", "100",
+                 "--theta", "1e200", "--jobs", "2", "--out", str(tmp_path)]
+            )
+            assert r.returncode == 3
+            assert r.stdout == ""
+            *progress, last = r.stderr.splitlines()
+            assert progress and all(line.startswith(f"{exp}:") for line in progress), r.stderr
+            assert last.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "args, ns",
+        [
+            (["quadvar_rate", "--n", "256"], [64, 128, 256] * 2),  # linear, nonlinear
+            (["estimator_consistency", "--n", "128"], [64, 128]),
+        ],
+    )
+    def test_one_progress_line_per_resolution_before_the_summary(self, args, ns, tmp_path):
+        # every resolution of a part marches in one call, and each still
+        # announces itself on stderr before stdout's summary
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+            rc = cli.main(["run", "--experiment", *args, "--reps", "100", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        progress, brace, summary = stream.getvalue().partition("{")
+        json.loads(brace + summary)
+        lines = progress.splitlines()
+        assert all(line.startswith(f"{args[0]}: N=") for line in lines), progress
+        assert [int(line.split("N=")[1].split()[0]) for line in lines] == ns
 
 
 class TestDeterminism:

@@ -130,10 +130,30 @@ def test_march_qv_matches_window_reductions(theta, F, N):
 def test_march_qv_rows_do_not_depend_on_chunk_size():
     F = shifted_sine()
     args = (32, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
-    together = _kernels.march_qv(SEEDS, *args)
-    for r in range(SEEDS.shape[0]):
-        alone = _kernels.march_qv(SEEDS[r : r + 1], *args)
-        assert alone.tobytes() == together[r : r + 1].tobytes()
+    for coarser in ((), (8, 16)):
+        together = _kernels.march_qv(SEEDS, *args, coarser=coarser)
+        for r in range(SEEDS.shape[0]):
+            alone = _kernels.march_qv(SEEDS[r : r + 1], *args, coarser=coarser)
+            assert alone.tobytes() == together[r : r + 1].tobytes()
+
+
+@pytest.mark.parametrize("a,m", [(1.0, 0.5), (2.0, 0.25), (1.0, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("F", [shifted_sine(), constant_one()], ids=lambda F: F.id)
+@pytest.mark.parametrize("R", [1, 37])
+def test_shared_draw_march_equals_separate_marches(a, m, F, R):
+    # R = 1 is where a layer sum that went pairwise would show; the seeds
+    # run down from 2^64 - 1 with both key words changing
+    seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
+    args = (2.0, F.fid, F.p0, F.p1, F(0.0), a, m)
+    shared = _kernels.march_qv(seeds, 16, *args, coarser=(4, 8))
+    alone = [_kernels.march_qv(seeds, N, *args) for N in (16, 4, 8)]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
+
+
+def test_a_coarser_window_must_nest():
+    F = shifted_sine()
+    with pytest.raises(UsageError, match="nest"):
+        _kernels.march_qv(SEEDS, 8, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5, coarser=(16,))
 
 
 @pytest.mark.parametrize("coupled", [False, True])
