@@ -12,12 +12,14 @@ lock-step from one noise draw, as march_qv does for the resolutions of
 a quadratic-variation sweep: a normal is a pure function of its
 lattice index, so each layer is drawn once, for the widest window, and
 every other window steps on a row slice of that draw, scaled by its
-own eps.  That needs the windows to nest: at layer s the draw covers
-cells i0 + s - 1 .. i0 + L0 - 2 of the widest window (L0 rows from
-i_min = i0), and a window (L, i_min) needs i_min + s - 1 .. i_min + L - 2,
-which lies inside for every s exactly when i0 <= i_min and
-i_min + L <= i0 + L0.  The [0,N]^2 windows (L = 2N + 1, i_min = -N)
-nest for every N up to the widest.
+own eps.  A window carries its own model (theta and F), and a window
+may repeat: march_points marches the coupled linear twin (theta 1,
+F ident 1) as a second copy of its window.  The windows must nest: at
+layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of the widest
+window (L0 rows from i_min = i0), and a window (L, i_min) needs
+i_min + s - 1 .. i_min + L - 2, which lies inside for every s exactly
+when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2 windows
+(L = 2N + 1, i_min = -N) nest for every N up to the widest.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
@@ -400,61 +402,53 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 # batched marching with in-kernel noise (replication workhorses)
 
 
-def _march_layers(seeds, windows, a, m, theta, fid, p0, p1, f0, coupled=False):
-    """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb, X2.
+def _march_layers(seeds, windows, a, m):
+    """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb.
 
-    `windows` lists (L, i_min, eps) per march; the first is the widest,
-    and every other must nest in it, since they all step on its draw
-    (see the module docstring).  Layer s = 1 .. L-1 of each window still
-    marching is yielded in list order, w being the window's place in the
-    list.  X is layer s, A and B the two layers before it, all (slot k,
+    `windows` lists (L, i_min, eps, theta, fid, p0, p1, f0) per march:
+    a window carries its own model, and the damping a and mass m are
+    shared.  The first window is the widest, and every other must nest
+    in it, since they all step on its draw (see the module docstring); a
+    window may repeat.  Layer s = 1 .. L-1 of each window still marching
+    is yielded in list order, w being the window's place in the list.  X
+    is layer s, A and B the two layers before it, all (slot k,
     replication) buffers of which the first c = L - s slots of X are
-    live; fb = F(B[1 : c+1]) are the c bottom coefficients of the layer,
-    and X2 the coupled linear field (F ident 1, theta 1, same noise) when
-    `coupled`, else None.  Layer 1 comes from the boundary triangles: its
-    cells have their bottoms below the initial line, so it has no cell
-    increment.  Buffers are reused, so a yield must be read before the
-    next one is asked for.
+    live; fb = F(B[1 : c+1]) are the c bottom coefficients of the layer.
+    Layer 1 comes from the boundary triangles: its cells have their
+    bottoms below the initial line, so it has no cell increment.
+    Buffers are reused, so a yield must be read before the next one is
+    asked for.
     """
-    L0, i0, _ = windows[0]
+    L0, i0 = windows[0][:2]
     R = seeds.shape[0]
     noise = _LayerNoise(seeds, L0 - 1)
     dw_buf, fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(4))
     z1 = noise.draw(1, i0 + 1, L0 - 1, 1)
     marches = []
-    for L, i_min, eps in windows:
+    for L, i_min, eps, theta, fid, p0, p1, f0 in windows:
         o = i_min - i0  # the window's first row in the widest window's draw
         if o < 0 or o + L > L0:
             raise UsageError("every window must nest in the first")
         tri = eps / _SQRT2
         beta, th2, drh = _rates(eps, a, m, theta)
-        # [B, A, X] of the field, then of the coupled linear field
-        fields = [[np.zeros((L + 1, R)) for _ in range(3)] for _ in range(1 + coupled)]
-        fields[0][2][: L - 1] = th2 * f0 * tri * z1[o : o + L - 1]
-        if coupled:
-            fields[1][2][: L - 1] = 0.5 * tri * z1[o : o + L - 1]
-        marches.append((L, o, eps, beta, beta * beta, th2, drh, fields))
+        field = [np.zeros((L + 1, R)) for _ in range(3)]  # B, A, X
+        field[2][: L - 1] = th2 * f0 * tri * z1[o : o + L - 1]
+        marches.append((L, o, eps, beta, beta * beta, th2, drh, (fid, p0, p1), field))
     for s in range(1, L0):
         z = noise.draw(s - 2, i0 + s - 1, L0 - s, 0) if s > 1 else None
-        for w, (L, o, eps, beta, beta2, th2, drh, fields) in enumerate(marches):
+        for w, (L, o, eps, beta, beta2, th2, drh, coef, field) in enumerate(marches):
             if s >= L:
                 continue
             c = L - s
-            B, A, X = fields[0]
-            fb = _f_eval_np(fid, p0, p1, B[1 : c + 1], out=fb_buf[:c])
+            B, A, X = field
+            fb = _f_eval_np(*coef, B[1 : c + 1], out=fb_buf[:c])
             if s > 1:
-                dw = np.multiply(z[o : o + c], eps, out=dw_buf[:c])
                 drive = drive_buf[:c]
                 np.multiply(fb, th2, out=drive)
-                drive *= dw
+                drive *= np.multiply(z[o : o + c], eps, out=dw_buf[:c])
                 _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
-                if coupled:
-                    np.multiply(dw, 0.5, out=drive)
-                    B2, A2, X2 = fields[1]
-                    _step_np(X2, A2, B2, c, drive, beta, beta2, drh, tmp)
-            yield w, s, X, A, B, fb, fields[1][2] if coupled else None
-            for f in fields:
-                f[:] = f[1], f[2], f[0]
+            yield w, s, X, A, B, fb
+            field[:] = A, X, B
 
 
 @_quiet
@@ -478,12 +472,13 @@ def march_points(
     at_layer = {}
     for t in range(K):
         at_layer.setdefault(int(pts_i[t] + pts_j[t]), []).append((t, -i_min - int(pts_j[t])))
-    layers = _march_layers(seeds, [(L, i_min, eps)], a, m, theta, fid, p0, p1, f0, coupled)
-    for _, s, X, _, _, _, X2 in layers:
+    windows = [(L, i_min, eps, theta, fid, p0, p1, f0)]
+    if coupled:
+        # the linear twin: the same window and noise with theta 1, F ident 1
+        windows.append((L, i_min, eps, 1.0, FID_CONSTANT_ONE, 0.0, 0.0, 1.0))
+    for w, s, X, _, _, _ in _march_layers(seeds, windows, a, m):
         for t, kt in at_layer.get(s, ()):
-            out[:, t] = X[kt]
-            if coupled:
-                out[:, K + t] = X2[kt]
+            out[:, w * K + t] = X[kt]
     _finite(out)
     return out
 
@@ -511,9 +506,8 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
     sums = np.zeros((2 * len(Ns), R))
     # the reduction's scratch: a layer holds at most N cells of [0, N)^2
     sq, acc = np.empty((N, R)), np.empty((N, R))
-    windows = [(2 * n + 1, -n, 1.0 / n) for n in Ns]
-    layers = _march_layers(seeds, windows, a, m, theta, fid, p0, p1, f0)
-    for w, s, X, A, B, fb, _ in layers:
+    windows = [(2 * n + 1, -n, 1.0 / n, theta, fid, p0, p1, f0) for n in Ns]
+    for w, s, X, A, B, fb in _march_layers(seeds, windows, a, m):
         n = Ns[w]
         # slots k whose cell bottom (s - 1 - n + k, n - 1 - k) is in [0, n)^2
         lo = max(0, n + 1 - s)

@@ -122,8 +122,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
 
     Raises UsageError before the experiment starts: for an unknown
     experiment, a key it does not read, a value below its floor, bad
-    equation parameters, or seeds past 2^64 at its largest replication
-    count.
+    equation parameters, a constant diffusion for remainder_rate, or
+    seeds past 2^64 at its largest replication count.
     """
     _require(
         cfg.experiment in EXPERIMENT_IDS,
@@ -152,6 +152,11 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     s["params"] = PhysParams(  # raises UsageError on bad a/m/theta/diffusion
         **{"diffusion_id" if k == "diffusion" else k: v
            for k, v in s.items() if k in _MODEL}
+    )
+    _require(
+        cfg.experiment != "remainder_rate" or s["diffusion"] != "constant_one",
+        "remainder_rate needs a non-constant diffusion: with F constant the "
+        "remainder dd v - theta*F*dd V is zero up to round-off, with no rate to fit",
     )
     count = int(np.max(s.get("reps", 0)))
     _require(
@@ -671,16 +676,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     cols, rows, summary, passed = _RUNNERS[cfg.experiment](cfg, settings)
     # out and jobs never change results, so they stay out of the echo
-    echo = {
-        "experiment": cfg.experiment,
-        "a": cfg.a,
-        "m": cfg.m,
-        "theta": cfg.theta,
-        "diffusion": cfg.diffusion,
-        "n": cfg.n,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-    }
+    echo = {"experiment": cfg.experiment, **{k: getattr(cfg, k) for k in _KEYS}, "seed": cfg.seed}
     return ExperimentReport(
         experiment=cfg.experiment,
         columns=cols,

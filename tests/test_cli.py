@@ -173,6 +173,22 @@ class TestUsageErrors:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta", ["1", "2", "3"])
+    def test_remainder_rate_refuses_a_constant_diffusion(self, theta, tmp_path, capsys):
+        # with F constant the remainder is round-off: a log-log fit of it
+        # either fails (exit 3) or gives a slope of rounding noise (exit 1)
+        out = tmp_path / "out"
+        rc, stdout, err = run_main(
+            ["run", "--experiment", "remainder_rate", "--diffusion", "constant_one",
+             "--theta", theta, "--n", "128", "--reps", "100", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith("error: remainder_rate needs a non-constant diffusion:"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--a", "nan"), ("--theta", "inf")])
     def test_non_finite_parameter_is_a_usage_error(
         self, flag, value, tmp_path, capsys

@@ -225,6 +225,32 @@ class TestTheta:
         assert nonlinear["gap_bound_direction_ok"], nonlinear["gap_decay"]
 
 
+class TestRegimes:
+    # the rates away from critical damping, where the lattice drift
+    # (a^2/4 - m^2) u is live: oscillatory, hyperbolic, and a = m = 0, the
+    # wave equation.  Small configs, so only each bound's direction is
+    # checked, as in TestTheta
+    REGIMES = [(1.0, 1.0), (2.0, 0.25), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("a,m", REGIMES)
+    def test_remainder_backward_slopes_meet_the_bound(self, a, m):
+        cfg = ExperimentConfig(experiment="remainder_rate", a=a, m=m, n=256, reps=200)
+        slopes = experiments.run(cfg).summary["slopes"]
+        minus = [v["slope"] for k, v in slopes.items() if k.endswith("_minus")]
+        assert len(minus) == 3
+        assert min(minus) >= 1.35, minus
+
+    @pytest.mark.parametrize("a,m", REGIMES)
+    def test_estimator_medians_fall_with_n(self, a, m):
+        cfg = ExperimentConfig(experiment="estimator_consistency", a=a, m=m, n=128, reps=100)
+        assert experiments.run(cfg).summary["monotone_ok"]
+
+    def test_quadvar_gap_decays_at_hyperbolic_damping(self):
+        cfg = ExperimentConfig(experiment="quadvar_rate", a=2.0, m=0.25, n=256, reps=100)
+        nonlinear = experiments.run(cfg).summary["nonlinear"]
+        assert nonlinear["gap_bound_direction_ok"], nonlinear["gap_decay"]
+
+
 class TestSerialization:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "r.csv"

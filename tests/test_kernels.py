@@ -176,6 +176,32 @@ def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
     assert pairs.tobytes() == together.tobytes()
 
 
+@pytest.mark.parametrize("a,m", [(1.0, 0.5), (1.0, 1.0), (2.0, 0.25), (0.0, 0.0)])
+@pytest.mark.parametrize("theta", [1.0, 3.0])
+@pytest.mark.parametrize(
+    "F", [constant_one(), affine(), shifted_sine(), clipped_linear()], ids=lambda F: F.id
+)
+@pytest.mark.parametrize("R", [1, 37])
+def test_coupled_columns_are_the_march_with_unit_coefficient(a, m, theta, F, R):
+    # the linear twin is the march with theta = 1 and F ident 1 on the same
+    # noise, whatever theta, F and the damping regime; unlike
+    # test_march_points_matches_window_march this needs no power of two
+    seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
+    grid = RotatedGrid(16, i_max=9, j_max=7)
+    pts_i, pts_j = window_points(grid)
+    K = pts_i.shape[0]
+
+    def points(theta, F, coupled):
+        return _kernels.march_points(
+            seeds, grid.shape[0], grid.i_min, grid.eps, a, m, theta,
+            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
+        )
+
+    coupled = points(theta, F, True)
+    assert coupled[:, :K].tobytes() == points(theta, F, False)[:, :K].tobytes()
+    assert coupled[:, K:].tobytes() == points(1.0, constant_one(), False)[:, :K].tobytes()
+
+
 @pytest.mark.parametrize(
     "seeds",
     [np.array([-1]), np.array([5, -3], dtype=np.int64), [2**64], [0, 2**64 + 3], [-1, 2**63], [1.0]],
