@@ -9,17 +9,20 @@ The two replication kernels share one layer loop, _march_layers:
 march_points records points from the layers it yields, march_qv adds
 up Q_N and the sum of F^2.  One loop can step several windows in
 lock-step from one noise draw, as march_qv does for the resolutions of
-a quadratic-variation sweep: a normal is a pure function of its
-lattice index, so each layer is drawn once, for the widest window, and
-every other window steps on a row slice of that draw, scaled by its
-own eps.  A window carries its own model (theta and F), and a window
-may repeat: march_points marches the coupled linear twin (theta 1,
-F ident 1) as a second copy of its window.  The windows must nest: at
+a quadratic-variation sweep and march_points for the levels of
+linear_variance: a normal is a pure function of its lattice index, so
+each layer is drawn once, for the widest window, and every other
+window steps on a row slice of that draw, scaled by its own eps.  A
+window carries its own model (theta and F), and a window may repeat:
+march_points marches the coupled linear twin (theta 1, F ident 1) as a
+second copy of its window.  The windows must nest: at
 layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of the widest
 window (L0 rows from i_min = i0), and a window (L, i_min) needs
 i_min + s - 1 .. i_min + L - 2, which lies inside for every s exactly
 when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2 windows
-(L = 2N + 1, i_min = -N) nest for every N up to the widest.
+(L = 2N + 1, i_min = -N) nest for every N up to the widest, and so
+do linear_variance's stencil windows at (1/2, 1/2) (L = n + 3,
+i_min = -(n/2 + 1)) for every n up to the finest.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
@@ -454,7 +457,7 @@ def _march_layers(seeds, windows, a, m):
 @_quiet
 def march_points(
     seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
-    pts_i, pts_j, coupled=False,
+    pts_i, pts_j, coupled=False, *, coarser=(),
 ):
     """March one replication per seed, keeping only requested values.
 
@@ -462,23 +465,36 @@ def march_points(
     the K lattice points, columns K..2K-1 the coupled linear field
     (F ident 1, theta 1, same noise) when `coupled`, else zeros.
     Memory is O(L) per replication; chunk the seeds upstream.
+
+    `coarser` lists further windows (L, i_min, eps, pts_i, pts_j) with
+    the same model, each nested in the first, marched in lock-step from
+    the first window's noise draw (with their own twins when
+    `coupled`).  Their 2K-column blocks follow the first window's in
+    the order given, each equal byte for byte to march_points on that
+    window alone.
     """
     seeds = _seed_array(seeds)
-    pts_i = np.ascontiguousarray(pts_i, dtype=np.int64)
-    pts_j = np.ascontiguousarray(pts_j, dtype=np.int64)
-    K = pts_i.shape[0]
-    out = np.zeros((seeds.shape[0], 2 * K))
-    # the requested points by layer, as (column, slot)
-    at_layer = {}
-    for t in range(K):
-        at_layer.setdefault(int(pts_i[t] + pts_j[t]), []).append((t, -i_min - int(pts_j[t])))
-    windows = [(L, i_min, eps, theta, fid, p0, p1, f0)]
-    if coupled:
-        # the linear twin: the same window and noise with theta 1, F ident 1
-        windows.append((L, i_min, eps, 1.0, FID_CONSTANT_ONE, 0.0, 0.0, 1.0))
+    windows = []
+    at_layer = []  # per marched window: the requested points by layer, as (column, slot)
+    width = 0
+    for L_w, i_w, eps_w, pi, pj in ((L, i_min, eps, pts_i, pts_j), *coarser):
+        pi = np.ascontiguousarray(pi, dtype=np.int64)
+        pj = np.ascontiguousarray(pj, dtype=np.int64)
+        K = pi.shape[0]
+        cols = {}
+        for t in range(K):
+            cols.setdefault(int(pi[t] + pj[t]), []).append((width + t, -i_w - int(pj[t])))
+        windows.append((L_w, i_w, eps_w, theta, fid, p0, p1, f0))
+        at_layer.append(cols)
+        if coupled:
+            # the linear twin: the same window and noise with theta 1, F ident 1
+            windows.append((L_w, i_w, eps_w, 1.0, FID_CONSTANT_ONE, 0.0, 0.0, 1.0))
+            at_layer.append({s: [(c + K, k) for c, k in v] for s, v in cols.items()})
+        width += 2 * K
+    out = np.zeros((seeds.shape[0], width))
     for w, s, X, _, _, _ in _march_layers(seeds, windows, a, m):
-        for t, kt in at_layer.get(s, ()):
-            out[:, w * K + t] = X[kt]
+        for t, kt in at_layer[w].get(s, ()):
+            out[:, t] = X[kt]
     _finite(out)
     return out
 

@@ -137,31 +137,42 @@ def estimate_theta(field: FieldSample, F: DiffusionCoefficient) -> float:
 
 
 def increment_samples(
-    params: PhysParams, eps: float, point: RotPoint, seeds
+    params: PhysParams, eps: float, point: RotPoint, seeds, *, coarser=()
 ) -> np.ndarray:
     """One row per seed: [double increment of V, own cell increment].
 
     Marches the linear field (F ident 1, theta 1) over the dependency
     window of the four stencil corners at `point` with step eps = 1/n;
     the own cell increment is the draw the march makes for that cell.
+    `coarser` lists further steps, at least eps, marched in one call
+    on eps's noise draw (their windows nest in eps's); their
+    [dd, dW] column pairs follow eps's in the order given, each equal
+    byte for byte to increment_samples at that step alone.
     """
-    n = int(round(1.0 / eps))
-    if abs(n * eps - 1.0) > 1e-9 or n < 2 or n & (n - 1):
-        raise UsageError(f"eps must be a reciprocal power of two, got {eps}")
-    probe = RotatedGrid(n)
-    i, j = probe.index_of(point)
-    grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
-    rows, _ = grid.shape
-    pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
-    pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
     seeds = _kernels._seed_array(seeds)
+    specs, stencils = [], []
+    for e in (eps, *coarser):
+        n = int(round(1.0 / e))
+        if abs(n * e - 1.0) > 1e-9 or n < 2 or n & (n - 1):
+            raise UsageError(f"eps must be a reciprocal power of two, got {e}")
+        i, j = RotatedGrid(n).index_of(point)
+        grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
+        pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
+        pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
+        specs.append((grid.shape[0], grid.i_min, grid.eps, pts_i, pts_j))
+        stencils.append((i, j, grid.eps))
+    (rows, i_min, step, pts_i, pts_j), *rest = specs
     out = _kernels.march_points(
-        seeds, rows, grid.i_min, grid.eps, params.a, params.m, 1.0,
-        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0, pts_i, pts_j,
+        seeds, rows, i_min, step, params.a, params.m, 1.0,
+        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0, pts_i, pts_j, coarser=rest,
     )
-    dd = (out[:, 3] - out[:, 1]) - (out[:, 2] - out[:, 0])
-    dw = _kernels._LayerNoise(seeds, 1).draw(i + j, i, 1, 0)[0] * grid.eps
-    return np.column_stack([dd, dw])
+    noise = _kernels._LayerNoise(seeds, 1)
+    cols = []
+    for w, (i, j, step) in enumerate(stencils):
+        c = out[:, 8 * w : 8 * w + 4]  # a window's 4 points, then its 4 twin zeros
+        cols.append((c[:, 3] - c[:, 1]) - (c[:, 2] - c[:, 0]))
+        cols.append(noise.draw(i + j, i, 1, 0)[0] * step)
+    return np.column_stack(cols)
 
 
 def increment_l2_from_samples(eps: float, samples: np.ndarray) -> IncrementL2:

@@ -177,15 +177,21 @@ def _chunk_sizes(total: int, jobs: int) -> list[int]:
     jobs * ceil(total / (_CHUNK * jobs)) chunks (one per seed if there
     are fewer seeds than jobs) whose sizes differ by at most one and
     never exceed _CHUNK.  One job gets ceil(total / _CHUNK) chunks, the
-    fewest kernel calls that keep every chunk within _CHUNK.
+    fewest kernel calls that keep every chunk within _CHUNK.  No seeds
+    make no chunks.
     """
     k = min(total, jobs * -(-total // (_CHUNK * jobs)))
+    if k == 0:
+        return []
     q, r = divmod(total, k)
     return [q + 1] * r + [q] * (k - r)
 
 
 def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
-    """worker(seeds) -> (len(seeds), k); rows in seed order for any plan."""
+    """worker(seeds) -> (len(seeds), k); rows in seed order for any plan.
+
+    With no seeds, worker gets one empty seed array and gives the (0, k) rows.
+    """
     seeds = np.uint64(master_seed) + np.arange(total, dtype=np.uint64)
     plans = np.split(seeds, np.cumsum(_chunk_sizes(total, jobs))[:-1])
     if jobs <= 1 or len(plans) == 1:
@@ -316,31 +322,44 @@ def _run_kernel_lemma(cfg: ExperimentConfig, s: dict):
 
 
 def _run_linear_variance(cfg: ExperimentConfig, s: dict):
+    """Criterion 03 over eps = 2^-4 .. 1/n, from one noise draw per seed.
+
+    The finest level takes base reps, the next base // 2 and the others
+    base // 5, all from seed cfg.seed on.  Their windows nest in the
+    finest one's, so the seeds below base // 5 march every level in one
+    call, those below base // 2 the two finest, and the rest the finest
+    alone; each level's rows are those of its own march byte for byte.
+    """
     params, n, base = s["params"], s["n"], s["reps"]
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
     point = RotPoint(0.5, 0.5)
+    reps_of = {eps: base // 5 for eps in eps_list[:-2]}
+    reps_of.update({eps_list[-2]: base // 2, eps_list[-1]: base})
+    for eps in eps_list:
+        _progress(f"linear_variance: eps=2^{int(round(math.log2(eps)))} reps={reps_of[eps]}")
+    parts = {eps: [] for eps in eps_list}
+    bounds = sorted({0, *reps_of.values()})
+    for lo, hi in zip(bounds, bounds[1:]):
+        # the levels with more than lo reps, finest first
+        active = [eps for eps in reversed(eps_list) if reps_of[eps] > lo]
+
+        def worker(seeds, active=active):
+            return analysis.increment_samples(
+                params, active[0], point, seeds, coarser=active[1:]
+            )
+
+        out = _seed_rows(worker, cfg.seed + lo, hi - lo, cfg.jobs)
+        for w, eps in enumerate(active):
+            parts[eps].append(out[:, 2 * w : 2 * w + 2])
     rows = []
     devs = []
-    level_rel_err = None
     for eps in eps_list:
-        if eps == eps_list[-1]:
-            reps = base
-        elif len(eps_list) >= 2 and eps == eps_list[-2]:
-            reps = base // 2
-        else:
-            reps = base // 5
-        _progress(f"linear_variance: eps=2^{int(round(math.log2(eps)))} reps={reps}")
-
-        def worker(seeds, eps=eps):
-            return analysis.increment_samples(params, eps, point, seeds)
-
-        samples = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
-        est = analysis.increment_l2_from_samples(eps, samples)
+        est = analysis.increment_l2_from_samples(eps, np.concatenate(parts[eps]))
         devs.append(est.conditional_deviation)
         rows.append(
             (
                 eps,
-                reps,
+                reps_of[eps],
                 est.raw,
                 est.raw_se,
                 est.conditional,
@@ -348,8 +367,7 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
                 est.conditional_deviation,
             )
         )
-        if eps == eps_list[-1]:
-            level_rel_err = abs(est.raw / (0.5 * eps) - 1.0)
+    level_rel_err = abs(est.raw / (0.5 * eps) - 1.0)  # the finest level, the loop's last
     fit = analysis.fit_loglog(eps_list, devs)
     summary = {
         "eps": eps_list,

@@ -342,6 +342,23 @@ class TestRuns:
         assert [int(line.split("N=")[1].split()[0]) for line in lines] == ns
 
 
+    def test_one_progress_line_per_level_before_the_summary(self, tmp_path):
+        # the levels march in shared calls, finest first, and each still
+        # announces itself on stderr, coarsest first, before stdout's summary
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+            rc = cli.main(["run", "--experiment", "linear_variance", "--n", "64",
+                           "--reps", "500", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        progress, brace, summary = stream.getvalue().partition("{")
+        json.loads(brace + summary)
+        assert progress.splitlines() == [
+            "linear_variance: eps=2^-4 reps=100",
+            "linear_variance: eps=2^-5 reps=250",
+            "linear_variance: eps=2^-6 reps=500",
+        ]
+
+
 class TestDeterminism:
     BASE = [
         "run", "--experiment", "linear_variance", "--n", "64",

@@ -173,6 +173,20 @@ class TestSeedRows:
         else:
             assert sizes == [1] * total
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_no_seeds_make_no_chunks(self, jobs):
+        # an empty seed span once divided by zero in the plan
+        assert experiments._chunk_sizes(0, jobs) == []
+        calls = []
+
+        def worker(seeds):
+            calls.append(len(seeds))
+            return np.zeros((len(seeds), 2))
+
+        out = experiments._seed_rows(worker, 5, 0, jobs)
+        assert out.shape == (0, 2)
+        assert calls == [0]
+
     def test_two_jobs_split_the_default_estimator_reps(self):
         # estimator_consistency's 200 default reps fit in one chunk, and
         # still give both threads half of them

@@ -21,7 +21,7 @@ import pytest
 
 from kgqv import _kernels, analysis, noise
 from kgqv.errors import NumericError, UsageError
-from kgqv.coords import RotatedGrid
+from kgqv.coords import RotatedGrid, RotPoint
 from kgqv.greens import PhysParams
 from kgqv.solver import (
     affine, clipped_linear, constant_one, march, march_linear, march_split, shifted_sine,
@@ -150,10 +150,57 @@ def test_shared_draw_march_equals_separate_marches(a, m, F, R):
     assert shared.tobytes() == np.hstack(alone).tobytes()
 
 
+def level_window(n):
+    """linear_variance's window at eps = 1/n: the stencil at (0.5, 0.5)."""
+    i = j = n // 2
+    grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
+    pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
+    pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
+    return grid.shape[0], grid.i_min, grid.eps, pts_i, pts_j
+
+
+@pytest.mark.parametrize("a,m", [(1.0, 0.5), (2.0, 0.25), (1.0, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("R", [1, 37])
+def test_shared_level_march_equals_separate_marches(a, m, coupled, R):
+    # linear_variance's windows n = 16, 32 and 64 inside n = 128's, marched
+    # on its draw; the seeds run down from 2^64 - 1 with both key words changing
+    seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
+    F = shifted_sine()
+    model = (a, m, 2.0, F.fid, F.p0, F.p1, F(0.0))
+    top, *coarser = (level_window(n) for n in (128, 16, 64, 32))
+
+    def points(window, **kw):
+        L, i_min, eps, pts_i, pts_j = window
+        return _kernels.march_points(seeds, L, i_min, eps, *model, pts_i, pts_j,
+                                     coupled=coupled, **kw)
+
+    shared = points(top, coarser=coarser)
+    alone = [points(w) for w in (top, *coarser)]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
+
+    params = PhysParams(a=a, m=m, theta=1.0, diffusion_id="constant_one")
+    point = RotPoint(0.5, 0.5)
+    steps = (1 / 128, 1 / 16, 1 / 64, 1 / 32)
+    shared = analysis.increment_samples(params, steps[0], point, seeds, coarser=steps[1:])
+    alone = [analysis.increment_samples(params, e, point, seeds) for e in steps]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
+
+
 def test_a_coarser_window_must_nest():
     F = shifted_sine()
     with pytest.raises(UsageError, match="nest"):
         _kernels.march_qv(SEEDS, 8, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5, coarser=(16,))
+    L, i_min, eps, pts_i, pts_j = level_window(16)
+    args = (1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j)
+    # wider than the first window, then shifted one row past its end
+    for coarser in ([level_window(32)], [(L, i_min + 1, eps, pts_i, pts_j)]):
+        with pytest.raises(UsageError, match="nest"):
+            _kernels.march_points(SEEDS, L, i_min, eps, *args, coarser=coarser)
+    with pytest.raises(UsageError, match="nest"):
+        analysis.increment_samples(
+            PhysParams(), 1 / 16, RotPoint(0.5, 0.5), SEEDS, coarser=(1 / 32,)
+        )
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -161,19 +208,23 @@ def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
     F = shifted_sine()
     grid = RotatedGrid(16, i_max=9, j_max=7)
     pts_i, pts_j = window_points(grid)
+    inner = RotatedGrid(8, i_max=5, j_max=3)
+    coarser_cases = ((), [(inner.shape[0], inner.i_min, inner.eps, *window_points(inner))])
 
-    def rows(seeds):
-        return _kernels.march_points(
-            seeds, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
-            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
-        )
+    for coarser in coarser_cases:
+        def rows(seeds):
+            return _kernels.march_points(
+                seeds, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
+                F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
+                coarser=coarser,
+            )
 
-    together = rows(SEEDS)
-    for r in range(SEEDS.shape[0]):
-        alone = rows(SEEDS[r : r + 1])
-        assert alone.tobytes() == together[r : r + 1].tobytes()
-    pairs = np.concatenate([rows(SEEDS[:2]), rows(SEEDS[2:])])
-    assert pairs.tobytes() == together.tobytes()
+        together = rows(SEEDS)
+        for r in range(SEEDS.shape[0]):
+            alone = rows(SEEDS[r : r + 1])
+            assert alone.tobytes() == together[r : r + 1].tobytes()
+        pairs = np.concatenate([rows(SEEDS[:2]), rows(SEEDS[2:])])
+        assert pairs.tobytes() == together.tobytes()
 
 
 @pytest.mark.parametrize("a,m", [(1.0, 0.5), (1.0, 1.0), (2.0, 0.25), (0.0, 0.0)])
