@@ -435,7 +435,9 @@ def _march_layers(seeds, windows, a, m):
         tri = eps / _SQRT2
         beta, th2, drh = _rates(eps, a, m, theta)
         field = [np.zeros((L + 1, R)) for _ in range(3)]  # B, A, X
-        field[2][: L - 1] = th2 * f0 * tri * z1[o : o + L - 1]
+        # grouped as _march_stored does with the stored tri * z, so both
+        # routes give the same bytes
+        field[2][: L - 1] = (th2 * f0) * (tri * z1[o : o + L - 1])
         marches.append((L, o, eps, beta, beta * beta, th2, drh, (fid, p0, p1), field))
     for s in range(1, L0):
         z = noise.draw(s - 2, i0 + s - 1, L0 - s, 0) if s > 1 else None

@@ -29,9 +29,5 @@ class NumericError(KgqvError):
     """A computed statistic is non-finite or otherwise unusable."""
 
 
-class QuadratureError(KgqvError):
-    """A quadrature did not converge to the requested tolerance."""
-
-
 class OracleError(KgqvError):
     """The fixed-point oracle failed to contract."""

@@ -282,7 +282,7 @@ def _run_kernel_lemma(cfg: ExperimentConfig, s: dict):
             level_ok = level_err <= 0.05
             if a == 0.0:
                 # regions off the own diamond vanish: value is eps^2/2^p
-                # exactly, deviations are quadrature round-off
+                # exactly
                 exact = max(devs) <= 1e-10 * target
                 entry = {
                     "level_rel_err": level_err,

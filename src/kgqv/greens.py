@@ -1,5 +1,5 @@
 """Equation parameters and the Green function of the damped Klein-Gordon
-operator: the Fourier-side evaluators and the kernel-increment quadrature
+operator: the Fourier-side evaluators and the kernel-increment integrals
 behind the ``green_identities`` and ``kernel_lemma`` experiments.
 
 For d_tt + a d_t + (xi^2 + m^2) acting on the spatial Fourier transform,
@@ -17,11 +17,11 @@ explicit, Gamma(t, x) = (1/2) exp(-a t / 2) on |x| < t, and the L^p mass
 of its four-point second difference over one lattice cell concentrates
 on an eps x eps diamond.  ``kernel_second_difference_lp`` integrates
 that second difference region by region (the strips where one shifted
-cone is missing, the common interior, and the diamond) by adaptive
-quadrature over the explicit polygonal bounds in characteristic offsets.
-That quadrature is scipy's ``dblquad``; scipy is imported in
-``_region_integrals`` alone, so importing this module loads only the
-standard library.
+cone is missing, the common interior, and the diamond).  On each region
+the integrand is a product of exponentials in the characteristic
+offsets, so every integral is an exact antiderivative, evaluated with
+the math module's exp and expm1; this module imports the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError, UsageError
+from .errors import DomainError, UsageError
 
 _SQRT2 = math.sqrt(2.0)
 _SERIES_WINDOW = 1e-8
@@ -126,50 +126,25 @@ def _region_integrals(a: float, t: float, eps: float, p: float):
       strips  D1/D2 (one offset >= eps):   (1/2)|1 - e^{al eps}| e^{-al(h+g)}
       interior D3  (both >= eps):          (1/2)(1 - e^{al eps})^2 e^{-al(h+g)}
 
-    with al = a / (2 sqrt(2)).
+    with al = a / (2 sqrt(2)).  A strip also carries the sliver where
+    the initial line h + g = S cuts it.  At a = 0 the strips and the
+    interior vanish and the diamond is exactly eps^2 / 2^p.
     """
-    from scipy import integrate
-
+    if a == 0.0:
+        return 0.0, 0.0, 0.0, 0.5**p * eps * eps
     al = a / (2.0 * _SQRT2)
     s_tot = _SQRT2 * t
-    kappa = math.expm1(al * eps)
-    half_p = 0.5**p
-
-    def core(h, g):
-        return math.exp(-p * al * (h + g))
-
-    def quad_region(coeff_p, gfun_lo, gfun_hi, h_lo, h_hi):
-        if coeff_p == 0.0:
-            return 0.0
-        val, err = integrate.dblquad(
-            lambda g, h: coeff_p * core(h, g),
-            h_lo,
-            h_hi,
-            gfun_lo,
-            gfun_hi,
-            epsabs=1e-14,
-            epsrel=1e-11,
-        )
-        if not math.isfinite(val) or err > max(1e-8 * abs(val), 1e-12):
-            raise QuadratureError(
-                f"region quadrature did not converge (value {val}, err {err})"
-            )
-        return val
-
-    d4 = quad_region(half_p, lambda h: 0.0, lambda h: eps, 0.0, eps)
-    strip_coeff = half_p * abs(kappa) ** p
-    d1 = quad_region(strip_coeff, lambda h: 0.0, lambda h: eps, eps, s_tot - eps)
-    # D1 also carries the sliver h > S - eps where the initial line cuts the strip
-    d1 += quad_region(
-        strip_coeff, lambda h: 0.0, lambda h: s_tot - h, s_tot - eps, s_tot
+    q = p * al
+    kappa = abs(math.expm1(al * eps))
+    d4 = 0.5**p * (-math.expm1(-q * eps) / q) ** 2
+    d1 = (0.5 * kappa) ** p / q * (
+        math.exp(-q * eps) * -math.expm1(-q * eps) / q
+        - eps * math.exp(-q * s_tot)
     )
     d2 = d1  # symmetric in (h, g)
-    d3 = quad_region(
-        half_p * abs(kappa) ** (2 * p),
-        lambda h: eps,
-        lambda h: max(eps, s_tot - h),
-        eps,
-        s_tot - eps,
+    d3 = (0.5 * kappa * kappa) ** p / q * (
+        math.exp(-q * eps) * (math.exp(-q * eps) - math.exp(-q * (s_tot - eps))) / q
+        - (s_tot - 2.0 * eps) * math.exp(-q * s_tot)
     )
     return d1, d2, d3, d4
 

@@ -18,9 +18,10 @@ instead of the literal O(n^4) sum.
 The Picard oracle iterates the discretized mild equation instead, with
 the kernel held at cell centers, a deliberately different alignment, so
 scheme/oracle agreement is an O(eps) external check rather than a
-shared-code tautology.  Its sweeps are scipy's ``convolve2d``; scipy is
-imported in ``_picard_iterate`` alone, so importing this module loads
-numpy only.
+shared-code tautology.  Both of its kernels are products of one
+geometric factor per axis, so a sweep is two separable cone sums of
+elementwise numpy operations and no BLAS: O(n^2) per sweep and O(n^3)
+for the n+2 sweeps.
 """
 
 from __future__ import annotations
@@ -158,10 +159,20 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     )
 
 
+def _cone_sum(x, beta):
+    """y[i, j] = sum over i' <= i, j' <= j of beta^(i-i' + j-j') x[i', j'].
+
+    One geometric recurrence down the rows, then one along the columns.
+    """
+    y = np.array(x, dtype=float)
+    for view in (y, y.T):
+        for k in range(1, view.shape[0]):
+            view[k] += beta * view[k - 1]
+    return y
+
+
 @_kernels._quiet
 def _picard_iterate(params, F, noise, iterations):
-    from scipy import signal
-
     _check_noise(noise)
     if noise.grid.n > 16:
         raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")
@@ -174,21 +185,20 @@ def _picard_iterate(params, F, noise, iterations):
     eps = g.eps
     beta = math.exp(-params.a * eps / (2.0 * _SQRT2))
     bcoef = params.drift_coef
-    di = np.arange(L + 1, dtype=float)[:, None]
-    dj = np.arange(L + 1, dtype=float)[None, :]
-    # mild-equation kernel, held at cell centers: time offset (di+dj-1) steps
-    w_cell = 0.5 * beta ** (di + dj - 1.0) * ((di >= 1) & (dj >= 1))
-    # triangles are represented by their lattice point: offset (di+dj) steps
-    w_tri = 0.5 * beta ** (di + dj)
+    # triangles are represented by their lattice point: kernel
+    # (1/2) beta^(di+dj) at offsets di, dj >= 0
     tri_src = np.zeros((L, L))
     ks = np.arange(L - 1)
     tri_src[1 + ks, L - 1 - ks] = params.theta * F(0.0) * noise.tris
-    tri_part = signal.convolve2d(tri_src, w_tri)[:L, :L]
+    tri_part = 0.5 * _cone_sum(tri_src, beta)
     u = np.zeros((L, L))
     deltas = []
     for _ in range(iterations):
         src = (bcoef * u) * eps * eps + params.theta * F(u) * noise.cells
-        u_next = signal.convolve2d(src, w_cell)[:L, :L] + tri_part
+        # the mild-equation kernel held at cell centers, time offset
+        # (di+dj-1) steps: (1/2) beta^(di+dj-1) at offsets di, dj >= 1
+        u_next = tri_part.copy()
+        u_next[1:, 1:] += (0.5 * beta) * _cone_sum(src[:-1, :-1], beta)
         _kernels._finite(u_next)  # a nan sup-difference never trips the test below
         deltas.append(float(np.max(np.abs(u_next - u))))
         if len(deltas) >= 2:
@@ -207,7 +217,7 @@ def picard_oracle(
 ) -> FieldSample:
     """Fixed-point iteration of the discretized mild equation.
 
-    O(n^4) per sweep via full-window convolution; restricted to tiny
+    O(n^2) per sweep via separable cone sums; restricted to tiny
     grids.  With K at least n+2 sweeps the iteration is an exact fixed
     point: sweep k is already exact on layers up to 2k because each
     sweep only reads strictly earlier layers.

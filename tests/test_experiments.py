@@ -8,7 +8,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy
 
 from kgqv import cli, experiments
 from kgqv.errors import NumericError, UsageError
@@ -321,14 +320,13 @@ class TestSerialization:
 
 
 # SHA-256 of the CSV and of the summary without wall_time_s (sort_keys,
-# indent 2, as summary_json writes it), at seed 0.  convolve2d and dblquad
-# make the oracle_check and kernel_lemma bytes depend on the scipy build as
-# well as on numpy's.  green_identities uses no numpy: its bytes come from
-# libm's sin, sinh and exp through the math module, so they hold for the C
-# library and machine they were recorded on
-RECORDED_SCIPY = "1.17"
-SCIPY_EXPERIMENTS = ("oracle_check", "kernel_lemma")
+# indent 2, as summary_json writes it), at seed 0.  green_identities uses
+# no numpy: its bytes come from libm's sin, sinh and exp through the math
+# module, so they hold for the C library and machine they were recorded
+# on.  kernel_lemma's values come from libm's exp and expm1 the same way,
+# and its slope fits from numpy, so it needs both
 RECORDED_LIBM = ("glibc", "2.36", "x86_64")
+LIBM_EXPERIMENTS = ("green_identities", "kernel_lemma")
 RUN_SHA256 = {
     ("green_identities",): (
         "97e4e595302d2ed788fd9eb21f2d4286aad782a2d7607e2e0665b9ee492fb84b",
@@ -351,12 +349,12 @@ RUN_SHA256 = {
         "e0d8ed6eb7725d9760d3fa8b7c6fd587810933313efe5796f52bde3b21c4665e",
     ),
     ("oracle_check", "--reps", "2"): (
-        "e0aa9891b2dbe1fbd6e77b8c54a6f84ab8af7e3dce6b9a6f49c293041d249637",
-        "fcd1be7637f2da44eb3b2c81434720b20d0563dde88e3790fa89e95a15aae89e",
+        "6ddca5539e1e2512dc362cb49ad22ac9a1823c8324f639589643a1d6c779dfe7",
+        "e8c6effb7fdfd057723afe561d7f930444e172c662219b836bc86d41b8f3e51b",
     ),
     ("kernel_lemma", "--n", "64"): (
-        "de47a9cb670e1029582c470130ec8ed2f4303143529b31fa8205fcf85d5693b4",
-        "8ae41b3265e1bd80bf0f06b9070a60497f1abbaad3c5a63af44501813e35e8e7",
+        "db25f3cc872b42e109235080b404e805aabc72ea90d209270472290a6c204f96",
+        "85c55ac22ee4e041c8aa38e19f58887d99b55a5e12eb8ed95741030e9107c183",
     ),
 }
 CHECKED_INSTEAD = {
@@ -364,8 +362,8 @@ CHECKED_INSTEAD = {
     "remainder_rate": "test_kernels' test_march_points_matches_window_march (bit for bit, n=8)",
     "quadvar_rate": "test_kernels' test_march_qv_matches_window_reductions (bit for bit)",
     "estimator_consistency": "test_kernels' test_march_qv_matches_window_reductions (bit for bit)",
-    "oracle_check": "test_solver's TestPicardOracle (march agreement to 1e-12 at a = m = 0)",
-    "kernel_lemma": "test_greens's TestKernelSecondDifference (closed form, rel 1e-8)",
+    "oracle_check": "test_solver's TestPicardOracle (cone sums against convolve2d; march agreement to 1e-12 at a = m = 0)",
+    "kernel_lemma": "test_greens's TestKernelSecondDifference (closed form against dblquad, rel 1e-10)",
     "green_identities": "test_greens's TestFourierGreen (branch against unified form)",
 }
 
@@ -374,21 +372,15 @@ class TestRecordedBytes:
     @pytest.mark.parametrize("args", sorted(RUN_SHA256), ids=" ".join)
     def test_run_bytes_match_recorded(self, args, tmp_path, capsys):
         exp = args[0]
-        if exp == "green_identities":
+        if exp in LIBM_EXPERIMENTS:
             libm = (*platform.libc_ver(), platform.machine())
             if libm != RECORDED_LIBM:
                 pytest.skip(
                     f"hashes recorded with {' '.join(RECORDED_LIBM)}, running "
                     f"{' '.join(libm)}: only {CHECKED_INSTEAD[exp]} checked the values"
                 )
-        else:
+        if exp != "green_identities":
             skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
-        version = ".".join(scipy.__version__.split(".")[:2])
-        if exp in SCIPY_EXPERIMENTS and version != RECORDED_SCIPY:
-            pytest.skip(
-                f"hashes recorded with scipy {RECORDED_SCIPY}, running {version}: "
-                f"only {CHECKED_INSTEAD[exp]} checked the values"
-            )
         rc = cli.main(["run", "--experiment", *args, "--out", str(tmp_path)])
         assert rc in (0, 1)
         summary = json.loads(capsys.readouterr().out)

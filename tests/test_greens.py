@@ -5,7 +5,9 @@ import math
 import pytest
 from scipy import integrate
 
+from kgqv import experiments
 from kgqv.errors import DomainError, UsageError
+from kgqv.experiments import ExperimentConfig
 from kgqv.greens import (
     PhysParams,
     fourier_green_branch,
@@ -16,24 +18,36 @@ from kgqv.greens import (
 SQRT2 = math.sqrt(2.0)
 
 
-def lp_closed_form(a, t, eps, p):
-    # Independent oracle: antiderivatives of the per-region exponentials,
-    # no adaptive quadrature involved.  Regions in the characteristic
-    # offsets (h, g): the eps x eps diamond, two strips, the interior.
-    if a == 0.0:
-        return eps * eps / 2.0**p
+def lp_dblquad(a, t, eps, p):
+    # Independent reference: scipy's adaptive dblquad over the explicit
+    # polygonal region bounds in the characteristic offsets (h, g), the
+    # eps x eps diamond, two strips and the interior, each with its
+    # smooth exponential integrand.
     al = a / (2.0 * SQRT2)
     s_tot = SQRT2 * t
-    q = p * al
-    kap = abs(math.expm1(al * eps))
-    d4 = 0.5**p * (-math.expm1(-q * eps) / q) ** 2
-    strip = (0.5 * kap) ** p / q * (
-        math.exp(-q * eps) * -math.expm1(-q * eps) / q
-        - eps * math.exp(-q * s_tot)
-    )
-    interior = (0.5 * kap * kap) ** p / q * (
-        math.exp(-q * eps) * (math.exp(-q * eps) - math.exp(-q * (s_tot - eps))) / q
-        - (s_tot - 2.0 * eps) * math.exp(-q * s_tot)
+    kappa = abs(math.expm1(al * eps))
+
+    def region(coeff, h_lo, h_hi, g_lo, g_hi):
+        if coeff == 0.0:
+            return 0.0
+        val, err = integrate.dblquad(
+            lambda g, h: coeff * math.exp(-p * al * (h + g)),
+            h_lo, h_hi, g_lo, g_hi, epsabs=1e-14, epsrel=1e-11,
+        )
+        assert err <= max(1e-8 * abs(val), 1e-12)
+        return val
+
+    d4 = region(0.5**p, 0.0, eps, lambda h: 0.0, lambda h: eps)
+    strip_coeff = (0.5 * kappa) ** p
+    strip = region(strip_coeff, eps, s_tot - eps, lambda h: 0.0, lambda h: eps)
+    # the sliver h > S - eps where the initial line cuts the strip
+    strip += region(strip_coeff, s_tot - eps, s_tot, lambda h: 0.0, lambda h: s_tot - h)
+    interior = region(
+        (0.5 * kappa * kappa) ** p,
+        eps,
+        s_tot - eps,
+        lambda h: eps,
+        lambda h: max(eps, s_tot - h),
     )
     return d4 + 2.0 * strip + interior
 
@@ -120,19 +134,35 @@ class TestFourierGreen:
 
 
 class TestKernelSecondDifference:
-    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, -1.0])
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, 3.0, -1.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("t,eps", [(1.0, 1.0 / 16), (0.7, 1.0 / 64)])
-    def test_matches_closed_form(self, a, p, t, eps):
+    @pytest.mark.parametrize("t,eps", [(1.0, 1.0 / 16), (0.7, 1.0 / 64), (1.0, 2.0**-10)])
+    def test_matches_adaptive_quadrature(self, a, p, t, eps):
         got = kernel_second_difference_lp(a, t, 0.0, eps, p)
-        want = lp_closed_form(a, t, eps, p)
-        assert got == pytest.approx(want, rel=1e-8)
+        want = lp_dblquad(a, t, eps, p)
+        assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_undamped_value_is_exact(self, p):
         eps = 1.0 / 32
         got = kernel_second_difference_lp(0.0, 1.0, 0.0, eps, p)
-        assert got == pytest.approx(eps * eps / 2.0**p, rel=1e-12)
+        assert got == eps * eps / 2.0**p
+
+    @pytest.mark.parametrize("a,constant", [(1.0, 0.9386), (2.0, 1.2642)])
+    def test_p1_note_constants_are_the_small_eps_limits(self, a, constant):
+        # at p = 1 the strips carry as much eps^2 mass as the diamond:
+        # value / eps^2 tends to 1/2 + (3/2)(1 - e^-x) - (x/2) e^-x, x = a t / 2
+        t = 1.0
+        x = 0.5 * a * t
+        limit = 0.5 + 1.5 * -math.expm1(-x) - 0.5 * x * math.exp(-x)
+        note = experiments.run(
+            ExperimentConfig(experiment="kernel_lemma", n=64)
+        ).summary["p1_note"]
+        assert f"{constant:.4f} at a={a:g}" in note
+        assert round(limit, 4) == constant
+        eps = 2.0**-12
+        ratio = kernel_second_difference_lp(a, t, 0.0, eps, 1.0) / (eps * eps)
+        assert abs(ratio - limit) < 1e-3
 
     def test_independent_of_spatial_position(self):
         a, t, eps, p = 1.0, 1.0, 1.0 / 16, 2.0

@@ -7,11 +7,9 @@ every cell on its own.  Both must give the same bytes, so a faster
 noise draw can never move an experiment's output.
 
 Seeds sit above 2^32 so the high key word is live, and the windows
-cover both parities of the first cell index of a layer.  The seed
-coefficient theta*F(0)/2 is a power of two in every case: march_points
-folds it into the triangle scale before multiplying by the normal,
-march_window after, and only a power of two makes that regrouping
-exact.
+cover both parities of the first cell index of a layer.  Both routes
+seed layer 1 as (theta*F(0)/2) * (triangle increment), so the bytes
+agree whatever that coefficient is.
 """
 
 import hashlib
@@ -32,9 +30,14 @@ from test_noise import skip_unless_recorded_numpy
 SEEDS = np.array([2**32 + 7, 2**40 + 123, 2**63 + 5, 2**64 - 2], dtype=np.uint64)
 
 CASES = [
-    # theta, coefficient: theta * F(0) / 2 is 1 in both
+    # theta, coefficient: theta * F(0) / 2 is 1 in the first two and no
+    # power of two in the others
     (1.0, shifted_sine()),
     (1.0, clipped_linear()),
+    (3.0, shifted_sine()),
+    (0.7, shifted_sine()),
+    (1.3, clipped_linear()),
+    (1.0, affine(0.3, 1.0)),
 ]
 
 
@@ -235,8 +238,7 @@ def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
 @pytest.mark.parametrize("R", [1, 37])
 def test_coupled_columns_are_the_march_with_unit_coefficient(a, m, theta, F, R):
     # the linear twin is the march with theta = 1 and F ident 1 on the same
-    # noise, whatever theta, F and the damping regime; unlike
-    # test_march_points_matches_window_march this needs no power of two
+    # noise, whatever theta, F and the damping regime
     seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
     grid = RotatedGrid(16, i_max=9, j_max=7)
     pts_i, pts_j = window_points(grid)

@@ -30,7 +30,7 @@ from kgqv.solver import (
     picard_oracle,
     shifted_sine,
 )
-from kgqv.solver import _picard_iterate
+from kgqv.solver import _cone_sum, _picard_iterate
 
 from test_noise import skip_unless_recorded_numpy
 
@@ -438,6 +438,18 @@ class TestSplit:
 
 
 class TestPicardOracle:
+    @pytest.mark.parametrize("beta", [1.0, math.exp(-1.0 / 64), math.exp(0.1)])
+    def test_cone_sum_is_the_geometric_convolution(self, beta):
+        # the reference is a full 2-D convolution with the kernel
+        # beta^(di+dj), as the oracle's sweeps once were
+        from scipy import signal
+
+        x = np.random.default_rng(4).standard_normal((33, 33))
+        d = np.arange(33, dtype=float)
+        want = signal.convolve2d(x, beta ** (d[:, None] + d[None, :]))[:33, :33]
+        got = _cone_sum(x, beta)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_exact_when_kernel_alignment_is_exact(self):
         # at a = m = 0 both kernels are the plain cone indicator
         params = PhysParams(a=0.0, m=0.0, theta=1.0, diffusion_id="shifted_sine")
