@@ -13,15 +13,16 @@ a quadratic-variation sweep and march_points for the levels of
 linear_variance: a normal is a pure function of its lattice index, so
 each layer is drawn once, for the widest window, and every other
 window steps on a row slice of that draw, scaled by its own eps.  A
-window carries its own model (theta and F), and a window may repeat:
-march_points marches the coupled linear twin (theta 1, F ident 1) as a
-second copy of its window.  The windows must nest: at
-layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of the widest
-window (L0 rows from i_min = i0), and a window (L, i_min) needs
-i_min + s - 1 .. i_min + L - 2, which lies inside for every s exactly
-when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2 windows
-(L = 2N + 1, i_min = -N) nest for every N up to the widest, and so
-do linear_variance's stencil windows at (1/2, 1/2) (L = n + 3,
+window carries its whole model (a, m, theta and F), and a window may
+repeat: the coupled linear twin of a march is one more window, the
+same one with theta 1 and F ident 1, and quadvar_rate's linear part
+(a = 0, m = 1) steps on its nonlinear part's draw.  The windows must
+nest: at layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of
+the widest window (L0 rows from i_min = i0), and a window (L, i_min)
+needs i_min + s - 1 .. i_min + L - 2, which lies inside for every s
+exactly when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2
+windows (L = 2N + 1, i_min = -N) nest for every N up to the widest,
+and so do linear_variance's stencil windows at (1/2, 1/2) (L = n + 3,
 i_min = -(n/2 + 1)) for every n up to the finest.
 Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
@@ -405,22 +406,21 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 # batched marching with in-kernel noise (replication workhorses)
 
 
-def _march_layers(seeds, windows, a, m):
+def _march_layers(seeds, windows):
     """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb.
 
-    `windows` lists (L, i_min, eps, theta, fid, p0, p1, f0) per march:
-    a window carries its own model, and the damping a and mass m are
-    shared.  The first window is the widest, and every other must nest
-    in it, since they all step on its draw (see the module docstring); a
-    window may repeat.  Layer s = 1 .. L-1 of each window still marching
-    is yielded in list order, w being the window's place in the list.  X
-    is layer s, A and B the two layers before it, all (slot k,
-    replication) buffers of which the first c = L - s slots of X are
-    live; fb = F(B[1 : c+1]) are the c bottom coefficients of the layer.
-    Layer 1 comes from the boundary triangles: its cells have their
-    bottoms below the initial line, so it has no cell increment.
-    Buffers are reused, so a yield must be read before the next one is
-    asked for.
+    `windows` lists (L, i_min, eps, a, m, theta, fid, p0, p1, f0) per
+    march: a window carries its whole model.  The first window is the
+    widest, and every other must nest in it, since they all step on its
+    draw (see the module docstring); a window may repeat.  Layer
+    s = 1 .. L-1 of each window still marching is yielded in list order,
+    w being the window's place in the list.  X is layer s, A and B the
+    two layers before it, all (slot k, replication) buffers of which the
+    first c = L - s slots of X are live; fb = F(B[1 : c+1]) are the c
+    bottom coefficients of the layer.  Layer 1 comes from the boundary
+    triangles: its cells have their bottoms below the initial line, so
+    it has no cell increment.  Buffers are reused, so a yield must be
+    read before the next one is asked for.
     """
     L0, i0 = windows[0][:2]
     R = seeds.shape[0]
@@ -428,7 +428,7 @@ def _march_layers(seeds, windows, a, m):
     dw_buf, fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(4))
     z1 = noise.draw(1, i0 + 1, L0 - 1, 1)
     marches = []
-    for L, i_min, eps, theta, fid, p0, p1, f0 in windows:
+    for L, i_min, eps, a, m, theta, fid, p0, p1, f0 in windows:
         o = i_min - i0  # the window's first row in the widest window's draw
         if o < 0 or o + L > L0:
             raise UsageError("every window must nest in the first")
@@ -458,43 +458,37 @@ def _march_layers(seeds, windows, a, m):
 
 @_quiet
 def march_points(
-    seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0,
-    pts_i, pts_j, coupled=False, *, coarser=(),
+    seeds, L, i_min, eps, a, m, theta, fid, p0, p1, f0, pts_i, pts_j, *, coarser=(),
 ):
     """March one replication per seed, keeping only requested values.
 
-    Returns an (R, 2K) array: columns 0..K-1 hold the marched field at
-    the K lattice points, columns K..2K-1 the coupled linear field
-    (F ident 1, theta 1, same noise) when `coupled`, else zeros.
-    Memory is O(L) per replication; chunk the seeds upstream.
+    Returns an (R, K) array: column t holds the marched field at lattice
+    point (pts_i[t], pts_j[t]).  Memory is O(L) per replication; chunk
+    the seeds upstream.
 
-    `coarser` lists further windows (L, i_min, eps, pts_i, pts_j) with
-    the same model, each nested in the first, marched in lock-step from
-    the first window's noise draw (with their own twins when
-    `coupled`).  Their 2K-column blocks follow the first window's in
-    the order given, each equal byte for byte to march_points on that
-    window alone.
+    `coarser` lists further windows, each the argument list of a
+    march_points call of its own after `seeds`, nested in the first and
+    marched in lock-step from the first window's noise draw.  Their
+    columns follow the first window's in the order given, each block
+    equal byte for byte to march_points on that window alone.  The
+    coupled linear twin of a march is the same window with theta 1 and
+    F ident 1.
     """
     seeds = _seed_array(seeds)
     windows = []
-    at_layer = []  # per marched window: the requested points by layer, as (column, slot)
+    at_layer = []  # per window: the requested points by layer, as (column, slot)
     width = 0
-    for L_w, i_w, eps_w, pi, pj in ((L, i_min, eps, pts_i, pts_j), *coarser):
+    for *window, pi, pj in ((L, i_min, eps, a, m, theta, fid, p0, p1, f0, pts_i, pts_j), *coarser):
         pi = np.ascontiguousarray(pi, dtype=np.int64)
         pj = np.ascontiguousarray(pj, dtype=np.int64)
-        K = pi.shape[0]
         cols = {}
-        for t in range(K):
-            cols.setdefault(int(pi[t] + pj[t]), []).append((width + t, -i_w - int(pj[t])))
-        windows.append((L_w, i_w, eps_w, theta, fid, p0, p1, f0))
+        for t in range(pi.shape[0]):
+            cols.setdefault(int(pi[t] + pj[t]), []).append((width + t, -window[1] - int(pj[t])))
+        windows.append(window)
         at_layer.append(cols)
-        if coupled:
-            # the linear twin: the same window and noise with theta 1, F ident 1
-            windows.append((L_w, i_w, eps_w, 1.0, FID_CONSTANT_ONE, 0.0, 0.0, 1.0))
-            at_layer.append({s: [(c + K, k) for c, k in v] for s, v in cols.items()})
-        width += 2 * K
+        width += pi.shape[0]
     out = np.zeros((seeds.shape[0], width))
-    for w, s, X, _, _, _ in _march_layers(seeds, windows, a, m):
+    for w, s, X, _, _, _ in _march_layers(seeds, windows):
         for t, kt in at_layer[w].get(s, ()):
             out[:, t] = X[kt]
     _finite(out)
@@ -513,20 +507,21 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
     which is then added to the running total, whatever the chunk of
     seeds.
 
-    `coarser` lists further resolutions, none above N, marched in
-    lock-step from N's noise draw; their column pairs follow N's in the
-    order given, each equal byte for byte to march_qv at that resolution
-    alone.
+    `coarser` lists further resolutions, each the argument list of a
+    march_qv call of its own after `seeds`, with its own model and none
+    above N, marched in lock-step from N's noise draw.  Their column
+    pairs follow N's in the order given, each equal byte for byte to
+    march_qv on that argument list alone.
     """
     seeds = _seed_array(seeds)
     R = seeds.shape[0]
-    Ns = (N, *coarser)
-    sums = np.zeros((2 * len(Ns), R))
+    runs = ((N, theta, fid, p0, p1, f0, a, m), *coarser)
+    sums = np.zeros((2 * len(runs), R))
     # the reduction's scratch: a layer holds at most N cells of [0, N)^2
     sq, acc = np.empty((N, R)), np.empty((N, R))
-    windows = [(2 * n + 1, -n, 1.0 / n, theta, fid, p0, p1, f0) for n in Ns]
-    for w, s, X, A, B, fb in _march_layers(seeds, windows, a, m):
-        n = Ns[w]
+    windows = [(2 * n + 1, -n, 1.0 / n, a_n, m_n, *model) for n, *model, a_n, m_n in runs]
+    for w, s, X, A, B, fb in _march_layers(seeds, windows):
+        n = runs[w][0]
         # slots k whose cell bottom (s - 1 - n + k, n - 1 - k) is in [0, n)^2
         lo = max(0, n + 1 - s)
         hi = min(2 * n + 1 - s, n)

@@ -25,8 +25,6 @@ from .errors import CouplingError, DomainError, NumericError, UsageError
 from .greens import PhysParams
 from .solver import DiffusionCoefficient, FieldSample
 
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -150,26 +148,25 @@ def increment_samples(
     byte for byte to increment_samples at that step alone.
     """
     seeds = _kernels._seed_array(seeds)
-    specs, stencils = [], []
+    windows, stencils = [], []
     for e in (eps, *coarser):
         n = int(round(1.0 / e))
         if abs(n * e - 1.0) > 1e-9 or n < 2 or n & (n - 1):
             raise UsageError(f"eps must be a reciprocal power of two, got {e}")
         i, j = RotatedGrid(n).index_of(point)
         grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
-        pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
-        pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
-        specs.append((grid.shape[0], grid.i_min, grid.eps, pts_i, pts_j))
+        windows.append((
+            grid.shape[0], grid.i_min, grid.eps, params.a, params.m, 1.0,
+            _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0,
+            np.array([i, i + 1, i, i + 1], dtype=np.int64),
+            np.array([j, j, j + 1, j + 1], dtype=np.int64),
+        ))
         stencils.append((i, j, grid.eps))
-    (rows, i_min, step, pts_i, pts_j), *rest = specs
-    out = _kernels.march_points(
-        seeds, rows, i_min, step, params.a, params.m, 1.0,
-        _kernels.FID_CONSTANT_ONE, 0.0, 0.0, 1.0, pts_i, pts_j, coarser=rest,
-    )
+    out = _kernels.march_points(seeds, *windows[0], coarser=windows[1:])
     noise = _kernels._LayerNoise(seeds, 1)
     cols = []
     for w, (i, j, step) in enumerate(stencils):
-        c = out[:, 8 * w : 8 * w + 4]  # a window's 4 points, then its 4 twin zeros
+        c = out[:, 4 * w : 4 * w + 4]  # the window's 4 stencil corners
         cols.append((c[:, 3] - c[:, 1]) - (c[:, 2] - c[:, 0]))
         cols.append(noise.draw(i + j, i, 1, 0)[0] * step)
     return np.column_stack(cols)

@@ -48,12 +48,14 @@ def _coerce(key: str, value):
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, bytes that are not UTF-8
+        raise UsageError(f"config file {path} cannot be read: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a single JSON object")
     merged = {}

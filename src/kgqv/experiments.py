@@ -121,9 +121,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     """The keys cfg's experiment reads, defaults filled in, and its params.
 
     Raises UsageError before the experiment starts: for an unknown
-    experiment, a key it does not read, a value below its floor, bad
-    equation parameters, a constant diffusion for remainder_rate, or
-    seeds past 2^64 at its largest replication count.
+    experiment, a key it does not read, an out that cannot become a
+    directory, a value below its floor, bad equation parameters, a
+    constant diffusion for remainder_rate, or seeds past 2^64 at its
+    largest replication count.
     """
     _require(
         cfg.experiment in EXPERIMENT_IDS,
@@ -135,6 +136,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         _require(key in table or getattr(cfg, key) is None,
                  f"{cfg.experiment} does not read {key}")
     _require(cfg.jobs >= 1, f"jobs must be at least 1, got {cfg.jobs}")
+    path = os.path.abspath(cfg.out)
+    while not os.path.exists(path):  # the nearest existing path must be a directory
+        path = os.path.dirname(path)
+    _require(os.path.isdir(path), f"out {cfg.out} cannot be a directory: {path} is not one")
     _require(cfg.seed >= 0, f"seed must be nonnegative, got {cfg.seed}")
     _require(cfg.seed < _SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
     s = {}
@@ -200,6 +205,29 @@ def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(worker, plans))
     return np.concatenate(parts, axis=0)
+
+
+def _plan_rows(cfg: ExperimentConfig, plan, march) -> list:
+    """The rows of every (width, args, reps) of plan, in plan order.
+
+    The window march(seeds, *args) takes seeds cfg.seed on, reps of them.
+    The seeds are cut at every distinct reps, and each chunk makes one
+    march(seeds, *first, coarser=rest) call for the windows that take its
+    seeds, widest first (ties in plan order), so all step on the widest
+    one's noise draw; each window's columns equal its own march's.
+    """
+    parts = [[] for _ in plan]
+    widest_first = sorted(range(len(plan)), key=lambda w: -plan[w][0])
+    bounds = sorted({0, *(reps for _, _, reps in plan)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        active = [w for w in widest_first if plan[w][2] > lo]
+        first, *rest = (plan[w][1] for w in active)
+        out = _seed_rows(lambda seeds: march(seeds, *first, coarser=rest),
+                         cfg.seed + lo, hi - lo, cfg.jobs)
+        k = out.shape[1] // len(active)
+        for c, w in enumerate(active):
+            parts[w].append(out[:, k * c : k * c + k])
+    return [np.concatenate(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +356,7 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
     base // 5, all from seed cfg.seed on.  Their windows nest in the
     finest one's, so the seeds below base // 5 march every level in one
     call, those below base // 2 the two finest, and the rest the finest
-    alone; each level's rows are those of its own march byte for byte.
+    alone (see _plan_rows).
     """
     params, n, base = s["params"], s["n"], s["reps"]
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
@@ -337,24 +365,16 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
     reps_of.update({eps_list[-2]: base // 2, eps_list[-1]: base})
     for eps in eps_list:
         _progress(f"linear_variance: eps=2^{int(round(math.log2(eps)))} reps={reps_of[eps]}")
-    parts = {eps: [] for eps in eps_list}
-    bounds = sorted({0, *reps_of.values()})
-    for lo, hi in zip(bounds, bounds[1:]):
-        # the levels with more than lo reps, finest first
-        active = [eps for eps in reversed(eps_list) if reps_of[eps] > lo]
 
-        def worker(seeds, active=active):
-            return analysis.increment_samples(
-                params, active[0], point, seeds, coarser=active[1:]
-            )
+    def march(seeds, eps, coarser):
+        coarser = [step for step, in coarser]
+        return analysis.increment_samples(params, eps, point, seeds, coarser=coarser)
 
-        out = _seed_rows(worker, cfg.seed + lo, hi - lo, cfg.jobs)
-        for w, eps in enumerate(active):
-            parts[eps].append(out[:, 2 * w : 2 * w + 2])
+    plan = [(1.0 / eps, (eps,), reps_of[eps]) for eps in eps_list]
     rows = []
     devs = []
-    for eps in eps_list:
-        est = analysis.increment_l2_from_samples(eps, np.concatenate(parts[eps]))
+    for eps, samples in zip(eps_list, _plan_rows(cfg, plan, march)):
+        est = analysis.increment_l2_from_samples(eps, samples)
         devs.append(est.conditional_deviation)
         rows.append(
             (
@@ -401,7 +421,7 @@ def _mapping_gap(seed: int) -> float:
     """Physical-coordinate stencils replayed on small coupled fields."""
     n = 32
     params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
-    F = solver.shifted_sine()
+    F = solver.coefficient_from_id(params.diffusion_id)
     gap = 0.0
     for s in range(3):
         nf = noise.generate(RotatedGrid(n), seed + s)
@@ -444,23 +464,19 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     pts_i = np.array([ij[0] for ij in col_of], dtype=np.int64)
     pts_j = np.array([ij[1] for ij in col_of], dtype=np.int64)
     ncols = len(col_of)
-
-    def worker(seeds):
-        return _kernels.march_points(
-            seeds, rows_grid, grid.i_min, grid.eps,
-            params.a, params.m, params.theta,
-            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=True,
-        )
-
+    window = (rows_grid, grid.i_min, grid.eps, params.a, params.m)
+    one = solver.constant_one()
     _progress(f"remainder_rate: n={n} reps={reps} stencil columns={ncols}")
-    out = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
+    # v and its linear twin V (theta 1, F ident 1): two windows on one draw
+    v_block, lin_block = _plan_rows(cfg, [
+        (rows_grid, (*window, params.theta, F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j), reps),
+        (rows_grid, (*window, 1.0, one.fid, one.p0, one.p1, one(0.0), pts_i, pts_j), reps),
+    ], _kernels.march_points)
 
     def dd(block, i, j, k, sign):
         c = lambda di, dj: block[:, col_of[(i + di, j + dj)]]
         return (c(sign * k, k) - c(sign * k, 0)) - (c(0, k) - c(0, 0))
 
-    v_block = out[:, :ncols]
-    lin_block = out[:, ncols : 2 * ncols]
     rows = []
     slopes = {}
     all_in_window = True
@@ -515,27 +531,14 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
 # quadvar_rate
 
 
-def _qv_rows(name, cfg, params, F, n_list, reps):
-    """{N: (reps, 2) rows of (Q_N, sum F^2)} for the ascending n_list.
-
-    One march_qv call per chunk marches every N: the coarser windows
-    nest in the finest and step on its noise draw, so each normal is
-    drawn once for all resolutions, and every N's rows equal those of
-    its own march byte for byte.
-    """
-    for N in n_list:
+def _qv_plan(name, params, ns, reps):
+    """_plan_rows entries (N, march_qv arguments, reps), announced on stderr."""
+    F = solver.coefficient_from_id(params.diffusion_id)
+    plan = []
+    for N in ns:
         _progress(f"{name}: N={N} reps={reps} F={F.id} a={params.a:g}")
-    top, coarser = n_list[-1], tuple(n_list[:-1])
-
-    def worker(seeds):
-        return _kernels.march_qv(
-            seeds, top, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m,
-            coarser=coarser,
-        )
-
-    out = _seed_rows(worker, cfg.seed, reps, cfg.jobs)
-    cols = {N: out[:, 2 * w : 2 * w + 2] for w, N in enumerate((top, *coarser))}
-    return {N: cols[N] for N in n_list}
+        plan.append((N, (N, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m), reps))
+    return plan
 
 
 def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):
@@ -544,23 +547,23 @@ def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):
     # N^-1 variance bound can be checked against a clean mean; its sum of
     # F^2 is exactly N^2, so its gap is |Q_N - 1/4|
     lin_params = PhysParams(a=0.0, m=1.0, theta=1.0, diffusion_id="constant_one")
-    parts = {
-        "linear": (lin_params, (64, 128, 256), s["reps"][0]),
-        "nonlinear": (s["params"], (64, 128, 256, 512), s["reps"][1]),
-    }
+    nonlin_ns = [N for N in (64, 128, 256, 512) if N <= n_top]
+    parts = {"linear": _qv_plan("quadvar_rate", lin_params, (64, 128, 256), s["reps"][0]),
+             "nonlinear": _qv_plan("quadvar_rate", s["params"], nonlin_ns, s["reps"][1])}
+    # both parts march in one plan, so the seeds they share step on one draw
+    plan = [(part, entry) for part, entries in parts.items() for entry in entries]
+    per_entry = _plan_rows(cfg, [entry for _, entry in plan], _kernels.march_qv)
     cols = ("part", "N", "reps", "mean_qn", "se_qn", "var_qn", "mean_gap", "se_gap")
     rows = []
-    for part, (params, ns, reps) in parts.items():
-        F = solver.coefficient_from_id(params.diffusion_id)
-        per_n = _qv_rows("quadvar_rate", cfg, params, F, [N for N in ns if N <= n_top], reps)
-        for N, out in per_n.items():
-            qn, sf = out[:, 0], out[:, 1]
-            gap = np.abs(qn - 0.25 * params.theta * params.theta * sf / (N * N))
-            rows.append(
-                (part, N, reps, float(qn.mean()),
-                 float(qn.std(ddof=1)) / math.sqrt(reps), float(qn.var(ddof=1)),
-                 float(gap.mean()), float(gap.std(ddof=1)) / math.sqrt(reps))
-            )
+    for (part, (N, args, reps)), out in zip(plan, per_entry):
+        theta = args[1]
+        qn, sf = out[:, 0], out[:, 1]
+        gap = np.abs(qn - 0.25 * theta * theta * sf / (N * N))
+        rows.append(
+            (part, N, reps, float(qn.mean()),
+             float(qn.std(ddof=1)) / math.sqrt(reps), float(qn.var(ddof=1)),
+             float(gap.mean()), float(gap.std(ddof=1)) / math.sqrt(reps))
+        )
 
     def column(part, name):
         return [row[cols.index(name)] for row in rows if row[0] == part]
@@ -610,13 +613,12 @@ def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):
 
 def _run_estimator_consistency(cfg: ExperimentConfig, s: dict):
     params, n_top, reps = s["params"], s["n"], s["reps"]
-    F = solver.coefficient_from_id(params.diffusion_id)
     n_list = [N for N in (64, 128, 256, 512) if N <= n_top]
     rows = []
     medians = []
-    per_n = _qv_rows("estimator_consistency", cfg, params, F, n_list, reps)
-    for N in n_list:
-        qn, sf = per_n[N][:, 0], per_n[N][:, 1]
+    plan = _qv_plan("estimator_consistency", params, n_list, reps)
+    for N, out in zip(n_list, _plan_rows(cfg, plan, _kernels.march_qv)):
+        qn, sf = out[:, 0], out[:, 1]
         if np.any(sf <= 0.0):
             raise NumericError("diffusion coefficient vanished on a whole sample")
         th = np.sqrt(4.0 * N * N * qn / sf)

@@ -101,10 +101,15 @@ class TestUsageErrors:
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        rc, _, err = run_main(["run", "--config", str(cfg)], capsys)
-        assert rc == 2
-        assert "JSON" in err
+        for content, message in [
+            (b"{not json", "is not valid JSON"),
+            (b'{"experiment": "oracle_check\xff"}', "cannot be read: 'utf-8' codec can't decode"),
+        ]:
+            cfg.write_bytes(content)
+            rc, out, err = run_main(["run", "--config", str(cfg)], capsys)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith(f"error: config file {cfg} {message}"), err
 
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -112,10 +117,31 @@ class TestUsageErrors:
         rc, _, err = run_main(["run", "--config", str(cfg)], capsys)
         assert rc == 2
 
-    def test_missing_config_file(self, capsys):
-        rc, _, err = run_main(["run", "--config", "/no/such/file.json"], capsys)
+    def test_missing_config_file(self, tmp_path, capsys):
+        # a missing file, then a directory
+        for path, message in [("/no/such/file.json", "not found"),
+                              (str(tmp_path), "Is a directory")]:
+            rc, out, err = run_main(["run", "--config", path], capsys)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error:") and message in err, err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_two_before_the_run(
+        self, under, tmp_path, capsys
+    ):
+        # refused before the run: otherwise the experiment would run to its
+        # end before makedirs failed
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        rc, stdout, err = run_main(
+            ["run", "--experiment", "oracle_check", "--out", str(out)], capsys
+        )
         assert rc == 2
-        assert "not found" in err
+        assert stdout == ""
+        assert err == f"error: out {out} cannot be a directory: {blocker} is not one\n"
+        assert blocker.read_text() == "kept"
 
     # 2^64 would otherwise be masked to the key of seed 0, and 2^64 - 2
     # with 3 reps would wrap its last seed to 0
@@ -324,22 +350,28 @@ class TestRuns:
     @pytest.mark.parametrize(
         "args, ns",
         [
-            (["quadvar_rate", "--n", "256"], [64, 128, 256] * 2),  # linear, nonlinear
-            (["estimator_consistency", "--n", "128"], [64, 128]),
+            # (N, F, a) per line: quadvar_rate's linear part first, then its
+            # nonlinear part
+            (["quadvar_rate", "--n", "256"],
+             [(N, "constant_one", "0") for N in (64, 128, 256)]
+             + [(N, "shifted_sine", "1") for N in (64, 128, 256)]),
+            (["estimator_consistency", "--n", "128"],
+             [(N, "shifted_sine", "1") for N in (64, 128)]),
         ],
     )
     def test_one_progress_line_per_resolution_before_the_summary(self, args, ns, tmp_path):
-        # every resolution of a part marches in one call, and each still
-        # announces itself on stderr before stdout's summary
+        # the resolutions march in shared calls, and each still announces
+        # itself on stderr before stdout's summary
         stream = io.StringIO()
         with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
             rc = cli.main(["run", "--experiment", *args, "--reps", "100", "--out", str(tmp_path)])
         assert rc in (0, 1)
         progress, brace, summary = stream.getvalue().partition("{")
         json.loads(brace + summary)
-        lines = progress.splitlines()
-        assert all(line.startswith(f"{args[0]}: N=") for line in lines), progress
-        assert [int(line.split("N=")[1].split()[0]) for line in lines] == ns
+        pattern = re.compile(rf"{args[0]}: N=(\d+) reps=100 F=(\w+) a=(\S+)")
+        fields = [pattern.fullmatch(line) for line in progress.splitlines()]
+        assert all(fields), progress
+        assert [(int(f[1]), f[2], f[3]) for f in fields] == ns
 
 
     def test_one_progress_line_per_level_before_the_summary(self, tmp_path):

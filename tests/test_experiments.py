@@ -340,6 +340,12 @@ RUN_SHA256 = {
         "7b36297c8757144dd85076442a541d7afcec1f9788fd4e8723cc420b440a3bd1",
         "c870c3bd6e199f139ac2add95533043458d150c30d4a0baff16ec3f42d6bc369",
     ),
+    # at the default reps (500 linear, 200 nonlinear) the seeds from 200 on
+    # march the linear part alone
+    ("quadvar_rate", "--n", "256"): (
+        "893f50313c4487d1a936b70495caedd3e5e8fc98f743c7ca428d44e900c10a1d",
+        "a64669725d5791f6e666c3c3af44b4d028caffb562ec778a2e2773cdff57c29f",
+    ),
     ("quadvar_rate", "--n", "256", "--reps", "100"): (
         "63035d1437c3973792082e638545f229ffb6b73095ccae3a5f769b1d95c9af9a",
         "be192e4c837862f0d2c40df1f791507dd40eb6c109f0f8153b344059c5be4240",

@@ -41,6 +41,13 @@ CASES = [
 ]
 
 
+def twin(window):
+    """The coupled linear twin of a march_points argument list: theta 1, F ident 1."""
+    one = constant_one()
+    *head, _, _, _, _, _, pts_i, pts_j = window
+    return (*head, 1.0, one.fid, one.p0, one.p1, one(0.0), pts_i, pts_j)
+
+
 def window_points(grid):
     pts = [
         (i, j)
@@ -64,11 +71,10 @@ def test_march_points_matches_window_march(theta, F, i_max, j_max, coupled):
     params = PhysParams(a=1.0, m=0.5, theta=theta, diffusion_id=F.id)
     pts_i, pts_j = window_points(grid)
     K = pts_i.shape[0]
-    out = _kernels.march_points(
-        SEEDS, grid.shape[0], grid.i_min, grid.eps,
-        params.a, params.m, params.theta, F.fid, F.p0, F.p1, F(0.0),
-        pts_i, pts_j, coupled=coupled,
-    )
+    window = (grid.shape[0], grid.i_min, grid.eps, params.a, params.m, params.theta,
+              F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j)
+    out = _kernels.march_points(SEEDS, *window, coarser=[twin(window)] if coupled else ())
+    assert out.shape == (SEEDS.shape[0], 2 * K if coupled else K)
     # the draw increment_samples takes a cell increment from
     cell_i, cell_j = 1, 0
     dw = _kernels._LayerNoise(SEEDS, 1).draw(cell_i + cell_j, cell_i, 1, 0)[0] * grid.eps
@@ -80,9 +86,7 @@ def test_march_points_matches_window_march(theta, F, i_max, j_max, coupled):
         assert out[r, :K].tobytes() == v.values[rows, cols].tobytes()
         if coupled:
             V = march_linear(params, nf)
-            assert out[r, K : 2 * K].tobytes() == V.values[rows, cols].tobytes()
-        else:
-            assert not out[r, K : 2 * K].any()
+            assert out[r, K:].tobytes() == V.values[rows, cols].tobytes()
         assert dw[r] == nf.increment_over_cell(cell_i, cell_j)
 
 
@@ -133,7 +137,7 @@ def test_march_qv_matches_window_reductions(theta, F, N):
 def test_march_qv_rows_do_not_depend_on_chunk_size():
     F = shifted_sine()
     args = (32, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
-    for coarser in ((), (8, 16)):
+    for coarser in ((), [(N, *args[1:]) for N in (8, 16)]):
         together = _kernels.march_qv(SEEDS, *args, coarser=coarser)
         for r in range(SEEDS.shape[0]):
             alone = _kernels.march_qv(SEEDS[r : r + 1], *args, coarser=coarser)
@@ -145,21 +149,31 @@ def test_march_qv_rows_do_not_depend_on_chunk_size():
 @pytest.mark.parametrize("R", [1, 37])
 def test_shared_draw_march_equals_separate_marches(a, m, F, R):
     # R = 1 is where a layer sum that went pairwise would show; the seeds
-    # run down from 2^64 - 1 with both key words changing
+    # run down from 2^64 - 1 with both key words changing.  Beside windows
+    # of the first one's model march windows of other models: quadvar_rate's
+    # linear part (N = 8, F ident 1 at a = 0, m = 1), and N = 16 with
+    # shifted_sine at theta 1 and (a, m) = (1, 0.5)
     seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
     args = (2.0, F.fid, F.p0, F.p1, F(0.0), a, m)
-    shared = _kernels.march_qv(seeds, 16, *args, coarser=(4, 8))
-    alone = [_kernels.march_qv(seeds, N, *args) for N in (16, 4, 8)]
+    one, sine = constant_one(), shifted_sine()
+    runs = [
+        (16, *args), (4, *args), (8, *args),
+        (8, 1.0, one.fid, one.p0, one.p1, one(0.0), 0.0, 1.0),
+        (16, 1.0, sine.fid, sine.p0, sine.p1, sine(0.0), 1.0, 0.5),
+    ]
+    shared = _kernels.march_qv(seeds, *runs[0], coarser=runs[1:])
+    alone = [_kernels.march_qv(seeds, *run) for run in runs]
     assert shared.tobytes() == np.hstack(alone).tobytes()
 
 
-def level_window(n):
-    """linear_variance's window at eps = 1/n: the stencil at (0.5, 0.5)."""
+def level_window(n, model):
+    """linear_variance's window at eps = 1/n, the stencil at (0.5, 0.5), for
+    march_points with `model` = (a, m, theta, fid, p0, p1, f0)."""
     i = j = n // 2
     grid = RotatedGrid(n, i_max=i + 1, j_max=j + 1)
     pts_i = np.array([i, i + 1, i, i + 1], dtype=np.int64)
     pts_j = np.array([j, j, j + 1, j + 1], dtype=np.int64)
-    return grid.shape[0], grid.i_min, grid.eps, pts_i, pts_j
+    return grid.shape[0], grid.i_min, grid.eps, *model, pts_i, pts_j
 
 
 @pytest.mark.parametrize("a,m", [(1.0, 0.5), (2.0, 0.25), (1.0, 1.0), (0.0, 0.0)])
@@ -171,15 +185,13 @@ def test_shared_level_march_equals_separate_marches(a, m, coupled, R):
     seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
     F = shifted_sine()
     model = (a, m, 2.0, F.fid, F.p0, F.p1, F(0.0))
-    top, *coarser = (level_window(n) for n in (128, 16, 64, 32))
-
-    def points(window, **kw):
-        L, i_min, eps, pts_i, pts_j = window
-        return _kernels.march_points(seeds, L, i_min, eps, *model, pts_i, pts_j,
-                                     coupled=coupled, **kw)
-
-    shared = points(top, coarser=coarser)
-    alone = [points(w) for w in (top, *coarser)]
+    windows = []
+    for n in (128, 16, 64, 32):
+        windows.append(level_window(n, model))
+        if coupled:
+            windows.append(twin(windows[-1]))
+    shared = _kernels.march_points(seeds, *windows[0], coarser=windows[1:])
+    alone = [_kernels.march_points(seeds, *w) for w in windows]
     assert shared.tobytes() == np.hstack(alone).tobytes()
 
     params = PhysParams(a=a, m=m, theta=1.0, diffusion_id="constant_one")
@@ -192,14 +204,16 @@ def test_shared_level_march_equals_separate_marches(a, m, coupled, R):
 
 def test_a_coarser_window_must_nest():
     F = shifted_sine()
+    args = (1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
     with pytest.raises(UsageError, match="nest"):
-        _kernels.march_qv(SEEDS, 8, 1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5, coarser=(16,))
-    L, i_min, eps, pts_i, pts_j = level_window(16)
-    args = (1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j)
+        _kernels.march_qv(SEEDS, 8, *args, coarser=[(16, *args)])
+    model = (1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0))
+    first = level_window(16, model)
+    L, i_min, *rest = first
     # wider than the first window, then shifted one row past its end
-    for coarser in ([level_window(32)], [(L, i_min + 1, eps, pts_i, pts_j)]):
+    for coarser in ([level_window(32, model)], [(L, i_min + 1, *rest)]):
         with pytest.raises(UsageError, match="nest"):
-            _kernels.march_points(SEEDS, L, i_min, eps, *args, coarser=coarser)
+            _kernels.march_points(SEEDS, *first, coarser=coarser)
     with pytest.raises(UsageError, match="nest"):
         analysis.increment_samples(
             PhysParams(), 1 / 16, RotPoint(0.5, 0.5), SEEDS, coarser=(1 / 32,)
@@ -210,17 +224,17 @@ def test_a_coarser_window_must_nest():
 def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
     F = shifted_sine()
     grid = RotatedGrid(16, i_max=9, j_max=7)
-    pts_i, pts_j = window_points(grid)
+    model = (1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0))
+    window = (grid.shape[0], grid.i_min, grid.eps, *model, *window_points(grid))
     inner = RotatedGrid(8, i_max=5, j_max=3)
-    coarser_cases = ((), [(inner.shape[0], inner.i_min, inner.eps, *window_points(inner))])
+    inner = (inner.shape[0], inner.i_min, inner.eps, *model, *window_points(inner))
+    coarser_cases = ([], [inner])
+    if coupled:
+        coarser_cases = ([twin(window)], [twin(window), inner, twin(inner)])
 
     for coarser in coarser_cases:
         def rows(seeds):
-            return _kernels.march_points(
-                seeds, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
-                F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
-                coarser=coarser,
-            )
+            return _kernels.march_points(seeds, *window, coarser=coarser)
 
         together = rows(SEEDS)
         for r in range(SEEDS.shape[0]):
@@ -242,17 +256,13 @@ def test_coupled_columns_are_the_march_with_unit_coefficient(a, m, theta, F, R):
     seeds = np.uint64(2**64 - 1) - np.uint64(0x9E3779B97F4A7C1) * np.arange(R, dtype=np.uint64)
     grid = RotatedGrid(16, i_max=9, j_max=7)
     pts_i, pts_j = window_points(grid)
+    window = (grid.shape[0], grid.i_min, grid.eps, a, m, theta,
+              F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j)
+    linear = twin(window)
+    coupled = _kernels.march_points(seeds, *window, coarser=[linear])
     K = pts_i.shape[0]
-
-    def points(theta, F, coupled):
-        return _kernels.march_points(
-            seeds, grid.shape[0], grid.i_min, grid.eps, a, m, theta,
-            F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j, coupled=coupled,
-        )
-
-    coupled = points(theta, F, True)
-    assert coupled[:, :K].tobytes() == points(theta, F, False)[:, :K].tobytes()
-    assert coupled[:, K:].tobytes() == points(1.0, constant_one(), False)[:, :K].tobytes()
+    assert coupled[:, :K].tobytes() == _kernels.march_points(seeds, *window).tobytes()
+    assert coupled[:, K:].tobytes() == _kernels.march_points(seeds, *linear).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -307,9 +317,9 @@ def test_blown_up_marches_raise_numeric_error():
 # 1, and march_qv on the full [0, N]^2 window
 ROW_SEEDS = np.uint64(2**40 + 11) + np.arange(300, dtype=np.uint64)
 POINTS_SHA256 = {
-    (16, False): "eb98fce5d04fe659e5ecc140008bb830dadc10911aeb6fae8b2cb49dcf65eff9",
+    (16, False): "d0c4cccaa206715d67fb7013fffabda0036780fc4ece355af0b947ce1e840502",
     (16, True): "ea6126c51583aa62dbf2b5ac817c7a79b539afe893eff502b9b7adfa5f577443",
-    (64, False): "8b6d1d79d85dd44bdefd1e896a209370b78fdaf52006ce1903d59e0ac3873067",
+    (64, False): "824246eee1119fdaf1584fbfd501ab2bf6a30d5d4c6ffc4f30d10d6d495167ef",
     (64, True): "83d6d2e1ca895150d0e602d7dd017dd808a43aa645e575bc7aac02275ebbb891",
 }
 QV_SHA256 = {
@@ -327,10 +337,10 @@ def test_march_points_rows_match_recorded(n, coupled):
     grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 3)
     pts_i, pts_j = window_points(grid)
     keep = (pts_i + pts_j <= 2) | ((3 * pts_i + pts_j) % 13 == 0)
-    points = _kernels.march_points(
-        ROW_SEEDS, grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
-        F.fid, F.p0, F.p1, F(0.0), pts_i[keep], pts_j[keep], coupled=coupled,
-    )
+    window = (grid.shape[0], grid.i_min, grid.eps, 1.0, 0.5, 1.0,
+              F.fid, F.p0, F.p1, F(0.0), pts_i[keep], pts_j[keep])
+    # coupled: the march's K columns, then its linear twin's
+    points = _kernels.march_points(ROW_SEEDS, *window, coarser=[twin(window)] if coupled else ())
     # the hashes were recorded with the increment of cell (n/4, n/4 - 1)
     # as a last column, which the march drew for that cell
     cell = _kernels._LayerNoise(ROW_SEEDS, 1).draw(n // 2 - 1, n // 4, 1, 0)[0] * grid.eps
