@@ -42,6 +42,12 @@ through _LayerNoise.draw, triangle_normals draws layer 1 the same way
 for one seed, and lattice_normals draws its rectangle _FILL_PAIR_ROWS
 pair rows at a time so that a block's temporaries stay in cache;
 noise.generate draws only the pairs on or above the initial line.
+The draw keeps a block's four state words as two stacked pairs,
+[x0, x2] and [x1, x3], so that one numpy call runs a round step on
+both halves, and takes its uniforms, trig values and normals in the
+memory of the words it has used up: three word buffers per chunk are
+its whole scratch.  So blocks and draw return views of that scratch,
+which the next call overwrites; a caller reads them first.
 """
 
 from __future__ import annotations
@@ -69,8 +75,10 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _ONE = np.uint64(1)
-_INV53 = 2.0**-53
-_TWO_PI = 2.0 * math.pi
+# the stacked rounds' multipliers [PM0, PM1], and the Box-Muller scales
+# [2^-53, 2^-53 2 pi] of the 53-bit halves
+_PM = np.array([_PM0, _PM1])[:, None, None]
+_BM_SCALE = np.array([2.0**-53, 2.0**-53 * (2.0 * math.pi)])[:, None, None]
 _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
 _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
@@ -137,38 +145,49 @@ class _LayerNoise:
     Arrays are laid out (pair, replication).  One Philox block per
     (sigma, i >> 1) pair serves both cells of the pair: rad*cos fills
     the even-i slot and rad*sin the odd-i slot, so a layer costs one
-    block per two cells.  The rounds run in place on flat buffers
-    allocated once and reused from call to call; P pairs work on the
-    first P*R entries as one contiguous (P, R) block.  With a scalar
-    sig, as a layer draw has, some state words are constant along one
-    axis until round four; those stay at their smaller shapes and cost
-    no full pass.
+    block per two cells.  The state words live in three flat scratch
+    buffers, allocated once and reused from call to call, each read as
+    a stacked (2, P, R) block on its first 2*P*R entries: H = [x0, x2],
+    Lo = [x1, x3] and the products T.  From round four on a round is
+    five calls for both halves at once, since each half's new high word
+    takes the other half's product.  With a scalar sig, as a layer draw
+    has, some state words are constant along one axis until round
+    four; those stay at their smaller shapes and cost no full pass.
+    Box-Muller runs in the memory of the words it has used up: the
+    uniforms in T, the trig values in Lo and the (P, 2, R) normals in
+    H, so what blocks and draw return is a view of the scratch, to be
+    read before the next call.
     """
 
     def __init__(self, seeds, max_count):
         R = seeds.shape[0]
         k0 = seeds & _MASK32
         k1 = seeds >> _SH32
-        self.keys = []
+        keys = []
         for _ in range(10):
-            self.keys.append((k0, k1))
+            keys.append((k0, k1))
             k0 = (k0 + _PW0) & _MASK32
             k1 = (k1 + _PW1) & _MASK32
-        size = (max_count // 2 + 1) * R
-        self.words = [np.empty(size, dtype=np.uint64) for _ in range(6)]
-        self.reals = [np.empty(size) for _ in range(3)]
-        self.pairs = np.empty(2 * size)
+        # rounds four to ten xor [k0, k1] into H as one (2, 1, R) key
+        self.keys = keys[:3]
+        self.stacked = [np.stack(k)[:, None] for k in keys[3:]]
+        size = 2 * (max_count // 2 + 1) * R
+        self.words = [np.empty(size, dtype=np.uint64) for _ in range(3)]
         self.reps = R
 
     def blocks(self, sig, q, kind):
         """(P, 2, R) rad*cos and rad*sin of the blocks (sig, q, kind, 0).
 
         `q` is a (P, 1) array of i >> 1 values and `sig` an integer or an
-        array of anti-diagonals that broadcasts with it.
+        array of anti-diagonals that broadcasts with it.  The result is a
+        view of the scratch that the next call overwrites.
         """
         R = self.reps
         P = q.shape[0]
-        x0, x1, x2, x3, t0, t1 = (w[: P * R].reshape(P, R) for w in self.words)
+        H, Lo, T = (w[: 2 * P * R].reshape(2, P, R) for w in self.words)
+        x0, x2 = H
+        x1, x3 = Lo
+        t0, t1 = T
         keys = self.keys
         q = ((q + _IOFF) & _IMASK).astype(np.uint64)
         # round 1 takes the counter (sig, q, kind, 0).  The shapes below are
@@ -188,59 +207,50 @@ class _LayerNoise:
         np.right_shift(t0, _SH32, out=x2)
         x2 ^= keys[1][1] ^ c3
         np.bitwise_and(t0, _MASK32, out=x3)
-        # round 3: c0 and c1 per replication, c2 and c3 full
+        # round 3: c0 and c1 per replication, c2 full; its c3, per
+        # replication, goes into x3 so that round 4 runs in the loop
         r0 = _PM0 * c0
         np.multiply(x2, _PM1, out=t1)
         np.right_shift(t1, _SH32, out=x0)
         x0 ^= c1 ^ keys[2][0]
         np.bitwise_and(t1, _MASK32, out=x1)
         np.bitwise_xor(x3, (r0 >> _SH32) ^ keys[2][1], out=x2)
-        c3 = r0 & _MASK32
-        # round 4: c3 per replication, the rest full
-        np.multiply(x0, _PM0, out=t0)
-        np.multiply(x2, _PM1, out=t1)
-        np.right_shift(t1, _SH32, out=x0)
-        x0 ^= x1
-        x0 ^= keys[3][0]
-        np.right_shift(t0, _SH32, out=x2)
-        x2 ^= c3 ^ keys[3][1]
-        np.bitwise_and(t1, _MASK32, out=x1)
-        np.bitwise_and(t0, _MASK32, out=x3)
-        for k0, k1 in keys[4:]:
-            np.multiply(x0, _PM0, out=t0)
-            np.multiply(x2, _PM1, out=t1)
-            np.right_shift(t1, _SH32, out=x0)
-            x0 ^= x1
-            x0 ^= k0
-            np.right_shift(t0, _SH32, out=x2)
-            x2 ^= x3
-            x2 ^= k1
-            np.bitwise_and(t1, _MASK32, out=x1)
-            np.bitwise_and(t0, _MASK32, out=x3)
-        # Box-Muller: u1 in (0, 1] keeps the log finite
-        u, rad, trig = (f[: P * R].reshape(P, R) for f in self.reals)
-        x0 <<= _SH32
-        x0 |= x1
-        x0 >>= _SH11
+        np.bitwise_and(r0, _MASK32, out=x3)
+        # rounds 4-10: T = [PM0 x0, PM1 x2], H = hi(T reversed) ^ Lo ^ key,
+        # Lo = lo(T reversed)
+        for key in self.stacked:
+            np.multiply(H, _PM, out=T)
+            np.right_shift(T[::-1], _SH32, out=H)
+            H ^= Lo
+            H ^= key
+            np.bitwise_and(T[::-1], _MASK32, out=Lo)
+        # Box-Muller on the 53-bit halves [x0 x1, x2 x3]: u1 = (k + 1)
+        # 2^-53 in (0, 1] keeps the log finite, and the angle is
+        # k (2^-53 2 pi), equal to (k 2^-53) 2 pi since k 2^-53 is exact
+        H <<= _SH32
+        H |= Lo
+        H >>= _SH11
         x0 += _ONE
-        np.multiply(x0, _INV53, out=u)
-        np.log(u, out=rad)
+        U = T.view(np.float64)
+        np.multiply(H, _BM_SCALE, out=U)
+        rad, ang = U
+        np.log(rad, out=rad)
         rad *= -2.0
         np.sqrt(rad, out=rad)
-        x2 <<= _SH32
-        x2 |= x3
-        x2 >>= _SH11
-        np.multiply(x2, _INV53, out=u)
-        u *= _TWO_PI
-        z = self.pairs[: 2 * P * R].reshape(P, 2, R)
-        np.cos(u, out=trig)
-        np.multiply(rad, trig, out=z[:, 0])
-        np.sin(u, out=trig)
-        np.multiply(rad, trig, out=z[:, 1])
+        trig = Lo.view(np.float64)
+        np.cos(ang, out=trig[0])
+        np.sin(ang, out=trig[1])
+        # the normals go to H's memory pair by pair, so that the 2P cells
+        # of P pairs are 2P contiguous rows
+        z = H.view(np.float64).reshape(P, 2, R)
+        np.multiply(rad[:, None], trig.transpose(1, 0, 2), out=z)
         return z
 
     def draw(self, sig, ic0, count, kind):
-        """(count, R) normals for cells i = ic0 + k, j = sig - i."""
+        """(count, R) normals for cells i = ic0 + k, j = sig - i.
+
+        Rows of the blocks' pairs, so again a view of the scratch.
+        """
         q0 = ic0 >> 1
         P = ((ic0 + count - 1) >> 1) - q0 + 1
         z = self.blocks(sig, q0 + np.arange(P)[:, None], kind)
@@ -425,7 +435,7 @@ def _march_layers(seeds, windows):
     L0, i0 = windows[0][:2]
     R = seeds.shape[0]
     noise = _LayerNoise(seeds, L0 - 1)
-    dw_buf, fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(4))
+    fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(3))
     z1 = noise.draw(1, i0 + 1, L0 - 1, 1)
     marches = []
     for L, i_min, eps, a, m, theta, fid, p0, p1, f0 in windows:
@@ -450,7 +460,8 @@ def _march_layers(seeds, windows):
             if s > 1:
                 drive = drive_buf[:c]
                 np.multiply(fb, th2, out=drive)
-                drive *= np.multiply(z[o : o + c], eps, out=dw_buf[:c])
+                # dW lives in tmp until the drive has it; the step reuses tmp
+                drive *= np.multiply(z[o : o + c], eps, out=tmp[:c])
                 _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
             yield w, s, X, A, B, fb
             field[:] = A, X, B

@@ -45,6 +45,12 @@ _CHUNK = 256
 # seeds are 64-bit Philox keys; a larger one would alias a smaller one
 _SEED_LIMIT = _kernels._SEED_LIMIT
 
+# the most threads --jobs may ask for.  With jobs >= reps every seed is a
+# chunk of its own, one thread each, so an unbounded --jobs could ask for
+# tens of thousands of threads, and a failed thread start would end the
+# run in a traceback; a larger --jobs is a usage error (exit 2) instead
+MAX_JOBS = 256
+
 # marching-scheme vs fixed-point-oracle sup-norm ceilings: measured
 # 0.0644 at n=8 and 0.0362 at n=16 over the five default seeds at
 # default parameters, frozen with ~1.5x headroom (mirrored in
@@ -76,11 +82,12 @@ EXPERIMENT_IDS = tuple(_SETTINGS)
 
 
 def _default_jobs() -> int:
-    """The CPUs this process may run on, where the platform tells."""
+    """The CPUs this process may run on, where the platform tells, up to MAX_JOBS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_JOBS)
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     """The keys cfg's experiment reads, defaults filled in, and its params.
 
     Raises UsageError before the experiment starts: for an unknown
-    experiment, a key it does not read, an out that cannot become a
-    directory, a value below its floor, bad equation parameters, a
-    constant diffusion for remainder_rate, or seeds past 2^64 at its
-    largest replication count.
+    experiment, a key it does not read, jobs outside [1, MAX_JOBS], an
+    out that cannot become a directory, a value below its floor, bad
+    equation parameters, a constant diffusion for remainder_rate, or
+    seeds past 2^64 at its largest replication count.
     """
     _require(
         cfg.experiment in EXPERIMENT_IDS,
@@ -135,7 +142,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     for key in _KEYS:
         _require(key in table or getattr(cfg, key) is None,
                  f"{cfg.experiment} does not read {key}")
-    _require(cfg.jobs >= 1, f"jobs must be at least 1, got {cfg.jobs}")
+    _require(1 <= cfg.jobs <= MAX_JOBS,
+             f"jobs must be between 1 and {MAX_JOBS}, got {cfg.jobs}")
     path = os.path.abspath(cfg.out)
     while not os.path.exists(path):  # the nearest existing path must be a directory
         path = os.path.dirname(path)

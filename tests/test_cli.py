@@ -143,6 +143,24 @@ class TestUsageErrors:
         assert err == f"error: out {out} cannot be a directory: {blocker} is not one\n"
         assert blocker.read_text() == "kept"
 
+    def test_jobs_past_the_ceiling_exit_two_before_any_thread(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # --jobs past the reps would hand every seed a thread of its own
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        rc, out, err = run_main(
+            ["run", "--experiment", "linear_variance", "--n", "64", "--reps", "500",
+             "--jobs", "100000", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: jobs must be between 1 and {experiments.MAX_JOBS}, got 100000\n"
+        assert not any(tmp_path.iterdir())
+
     # 2^64 would otherwise be masked to the key of seed 0, and 2^64 - 2
     # with 3 reps would wrap its last seed to 0
     @pytest.mark.parametrize("seed,reps", [(2**64, 1), (2**64 - 2, 3)])

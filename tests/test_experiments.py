@@ -52,6 +52,19 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="jobs"):
             experiments.validate_config(cfg)
 
+    def test_jobs_above_the_ceiling_rejected(self):
+        ok = ExperimentConfig(experiment="linear_variance", jobs=experiments.MAX_JOBS)
+        experiments.validate_config(ok)
+        for jobs in (experiments.MAX_JOBS + 1, 100000):
+            cfg = ExperimentConfig(experiment="linear_variance", jobs=jobs)
+            with pytest.raises(UsageError, match=f"between 1 and {experiments.MAX_JOBS}"):
+                experiments.validate_config(cfg)
+
+    def test_default_jobs_stay_within_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                            lambda pid: set(range(4 * experiments.MAX_JOBS)))
+        assert experiments._default_jobs() == experiments.MAX_JOBS
+
     def test_negative_seed_rejected(self):
         cfg = ExperimentConfig(experiment="oracle_check", seed=-1)
         with pytest.raises(UsageError, match="seed"):

@@ -202,3 +202,17 @@ class TestDistribution:
         z = impl_pairs(2**31 - 1, [2**31 - 1], U32, [2**64 - 1])
         assert np.all(np.isfinite(z))
         assert math.isfinite(impl_gauss(0, 0, 0, 0))
+
+    def test_angle_scale_folds_two_pi(self):
+        # the draw scales the angle word k < 2^53 by 2^-53 * 2 pi in one
+        # multiply; k * 2^-53 is exact, so that rounds once, as the two
+        # multiplies (k * 2^-53) * 2 pi do
+        rng = np.random.default_rng(53)
+        k = np.concatenate([np.array([0, 1, 2**52, 2**53 - 1], dtype=np.uint64),
+                            rng.integers(0, 2**53, size=10**5, dtype=np.uint64)])
+        two_pi = 2.0 * math.pi
+        folded = k * (2.0**-53 * two_pi)
+        stepwise = (k * 2.0**-53) * two_pi
+        assert folded.tobytes() == stepwise.tobytes()
+        for v in (0, 1, 2**52, 2**53 - 1):
+            assert v * (2.0**-53 * two_pi) == (v * 2.0**-53) * two_pi
