@@ -16,8 +16,9 @@ window steps on a row slice of that draw, scaled by its own eps.  A
 window carries its whole model (a, m, theta and F), and a window may
 repeat: the coupled linear twin of a march is one more window, the
 same one with theta 1 and F ident 1, and quadvar_rate's linear part
-(a = 0, m = 1) steps on its nonlinear part's draw.  The windows must
-nest: at layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of
+(a = 0, m = 1) steps on its nonlinear part's draw.  The windows come
+in any order, and the loop finds the widest; every other must nest in
+it: at layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of
 the widest window (L0 rows from i_min = i0), and a window (L, i_min)
 needs i_min + s - 1 .. i_min + L - 2, which lies inside for every s
 exactly when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2
@@ -39,7 +40,8 @@ every block instead of discarding the second.  One implementation,
 _LayerNoise.blocks, runs the rounds and the Box-Muller tail: the
 replication kernels draw a whole layer for a chunk of replications
 through _LayerNoise.draw, triangle_normals draws layer 1 the same way
-for one seed, and lattice_normals draws its rectangle _FILL_PAIR_ROWS
+for one seed, cell_normals draws single cells for a chunk of
+replications, and lattice_normals draws its rectangle _FILL_PAIR_ROWS
 pair rows at a time so that a block's temporaries stay in cache;
 noise.generate draws only the pairs on or above the initial line.
 The draw keeps a block's four state words as two stacked pairs,
@@ -293,6 +295,15 @@ def triangle_normals(i0, count, seed):
     return _LayerNoise(_seed_array([seed]), count).draw(1, i0, count, 1)[:, 0]
 
 
+def cell_normals(seeds, pts_i, pts_j):
+    """(R, K) standard normals of the cells (pts_i[k], pts_j[k]), a row per seed."""
+    seeds = _seed_array(seeds)
+    i = np.asarray(pts_i, dtype=np.int64)
+    sig = i + np.asarray(pts_j, dtype=np.int64)
+    z = _LayerNoise(seeds, 2 * i.shape[0]).blocks(sig[:, None], (i >> 1)[:, None], 0)
+    return z[np.arange(i.shape[0]), i & 1].T
+
+
 def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     """X[:c] = beta*(A[k]+A[k+1]) - beta2*bot + drive (+ drh*bot), in place.
 
@@ -420,19 +431,20 @@ def _march_layers(seeds, windows):
     """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb.
 
     `windows` lists (L, i_min, eps, a, m, theta, fid, p0, p1, f0) per
-    march: a window carries its whole model.  The first window is the
-    widest, and every other must nest in it, since they all step on its
-    draw (see the module docstring); a window may repeat.  Layer
-    s = 1 .. L-1 of each window still marching is yielded in list order,
-    w being the window's place in the list.  X is layer s, A and B the
-    two layers before it, all (slot k, replication) buffers of which the
-    first c = L - s slots of X are live; fb = F(B[1 : c+1]) are the c
+    march: a window carries its whole model.  The windows come in any
+    order; all step on the draw of the widest (the first of the widest
+    on a tie), so every other must nest in it (see the module
+    docstring), and a window may repeat.  Layer s = 1 .. L-1 of each
+    window still marching is yielded in list order, w being the
+    window's place in the list.  X is layer s, A and B the two layers
+    before it, all (slot k, replication) buffers of which the first
+    c = L - s slots of X are live; fb = F(B[1 : c+1]) are the c
     bottom coefficients of the layer.  Layer 1 comes from the boundary
     triangles: its cells have their bottoms below the initial line, so
     it has no cell increment.  Buffers are reused, so a yield must be
     read before the next one is asked for.
     """
-    L0, i0 = windows[0][:2]
+    L0, i0 = max(windows, key=lambda w: w[0])[:2]
     R = seeds.shape[0]
     noise = _LayerNoise(seeds, L0 - 1)
     fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(3))
@@ -441,7 +453,7 @@ def _march_layers(seeds, windows):
     for L, i_min, eps, a, m, theta, fid, p0, p1, f0 in windows:
         o = i_min - i0  # the window's first row in the widest window's draw
         if o < 0 or o + L > L0:
-            raise UsageError("every window must nest in the first")
+            raise UsageError("every window must nest in the widest")
         tri = eps / _SQRT2
         beta, th2, drh = _rates(eps, a, m, theta)
         field = [np.zeros((L + 1, R)) for _ in range(3)]  # B, A, X
@@ -477,13 +489,13 @@ def march_points(
     point (pts_i[t], pts_j[t]).  Memory is O(L) per replication; chunk
     the seeds upstream.
 
-    `coarser` lists further windows, each the argument list of a
-    march_points call of its own after `seeds`, nested in the first and
-    marched in lock-step from the first window's noise draw.  Their
-    columns follow the first window's in the order given, each block
-    equal byte for byte to march_points on that window alone.  The
-    coupled linear twin of a march is the same window with theta 1 and
-    F ident 1.
+    `coarser` lists further windows, wider or narrower than the first,
+    each the argument list of a march_points call of its own after
+    `seeds`, marched in lock-step from the widest window's noise draw,
+    in which every other must nest.  Their columns follow the first
+    window's in the order given, each block equal byte for byte to
+    march_points on that window alone.  The coupled linear twin of a
+    march is the same window with theta 1 and F ident 1.
     """
     seeds = _seed_array(seeds)
     windows = []
@@ -518,18 +530,19 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
     which is then added to the running total, whatever the chunk of
     seeds.
 
-    `coarser` lists further resolutions, each the argument list of a
-    march_qv call of its own after `seeds`, with its own model and none
-    above N, marched in lock-step from N's noise draw.  Their column
-    pairs follow N's in the order given, each equal byte for byte to
-    march_qv on that argument list alone.
+    `coarser` lists further resolutions, above or below N, each the
+    argument list of a march_qv call of its own after `seeds`, with its
+    own model, all marched in lock-step from the largest one's noise
+    draw.  Their column pairs follow N's in the order given, each equal
+    byte for byte to march_qv on that argument list alone.
     """
     seeds = _seed_array(seeds)
     R = seeds.shape[0]
     runs = ((N, theta, fid, p0, p1, f0, a, m), *coarser)
     sums = np.zeros((2 * len(runs), R))
-    # the reduction's scratch: a layer holds at most N cells of [0, N)^2
-    sq, acc = np.empty((N, R)), np.empty((N, R))
+    # the reduction's scratch: a layer holds at most n cells of [0, n)^2
+    top = max(run[0] for run in runs)
+    sq, acc = np.empty((top, R)), np.empty((top, R))
     windows = [(2 * n + 1, -n, 1.0 / n, a_n, m_n, *model) for n, *model, a_n, m_n in runs]
     for w, s, X, A, B, fb in _march_layers(seeds, windows):
         n = runs[w][0]

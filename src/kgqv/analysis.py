@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coords import RotPoint, RotatedGrid
+from .coords import RotPoint, RotatedGrid, double_increment
 from .errors import CouplingError, DomainError, NumericError, UsageError
 from .greens import PhysParams
 from .solver import DiffusionCoefficient, FieldSample
@@ -45,6 +45,11 @@ class IncrementL2:
         return abs(self.conditional - 0.5 * self.eps)
 
 
+def linearization_remainder(v_corners, V_corners, theta: float, F: DiffusionCoefficient):
+    """dd v - theta F(v(c00)) dd V from corners (c00, c10, c01, c11): values or arrays."""
+    return double_increment(*v_corners) - theta * F(v_corners[0]) * double_increment(*V_corners)
+
+
 def remainder(
     v: FieldSample,
     V: FieldSample,
@@ -67,15 +72,10 @@ def remainder(
         raise UsageError(f"sign must be +1 or -1, got {sign}")
     k = v.grid.steps_of(eps)
     i, j = v.grid.index_of(q)
-    for pi, pj in ((i, j), (i + sign * k, j), (i, j + k), (i + sign * k, j + k)):
-        v.grid.require_index(pi, pj)
-
-    def dd(f: FieldSample) -> float:
-        return (f.value(i + sign * k, j + k) - f.value(i + sign * k, j)) - (
-            f.value(i, j + k) - f.value(i, j)
-        )
-
-    return dd(v) - v.params.theta * F(v.value(i, j)) * dd(V)
+    corners = ((i, j), (i + sign * k, j), (i, j + k), (i + sign * k, j + k))
+    return linearization_remainder(
+        [v.value(*c) for c in corners], [V.value(*c) for c in corners], v.params.theta, F
+    )
 
 
 def lp_norm_mc(x, p: float):
@@ -124,14 +124,20 @@ def limit_functional(field: FieldSample, F: DiffusionCoefficient) -> float:
     return 0.25 * float(np.sum(F(b) ** 2)) / (n * n)
 
 
+def theta_hat(N: int, qn, sf):
+    """sqrt(4 N^2 Q_N / sum F^2) over [0, N)^2, on values or march_qv's columns.
+
+    A sum of F^2 that is not positive leaves nothing to estimate.
+    """
+    if np.any(np.asarray(sf) <= 0.0):
+        raise NumericError("diffusion coefficient vanishes on a whole sample")
+    return np.sqrt(4.0 * N * N * qn / sf)
+
+
 def estimate_theta(field: FieldSample, F: DiffusionCoefficient) -> float:
-    """sqrt(4 N^2 Q_N / sum F^2(v)) over the unit square."""
+    """theta_hat over the unit square of one field."""
     b = _unit_block(field)[:-1, :-1]
-    s = float(np.sum(F(b) ** 2))
-    if s <= 0.0:
-        raise NumericError("diffusion coefficient vanishes on the whole sample")
-    n = field.grid.n
-    return math.sqrt(4.0 * n * n * quad_var(field) / s)
+    return float(theta_hat(field.grid.n, quad_var(field), float(np.sum(F(b) ** 2))))
 
 
 def increment_samples(
@@ -142,13 +148,13 @@ def increment_samples(
     Marches the linear field (F ident 1, theta 1) over the dependency
     window of the four stencil corners at `point` with step eps = 1/n;
     the own cell increment is the draw the march makes for that cell.
-    `coarser` lists further steps, at least eps, marched in one call
-    on eps's noise draw (their windows nest in eps's); their
-    [dd, dW] column pairs follow eps's in the order given, each equal
-    byte for byte to increment_samples at that step alone.
+    `coarser` lists further steps, finer or coarser than eps, marched in
+    one call on the finest step's noise draw (the stencil windows at one
+    point nest); their [dd, dW] column pairs follow eps's in the order
+    given, each equal byte for byte to increment_samples at that step
+    alone.
     """
-    seeds = _kernels._seed_array(seeds)
-    windows, stencils = [], []
+    windows, cells, steps = [], [], []
     for e in (eps, *coarser):
         n = int(round(1.0 / e))
         if abs(n * e - 1.0) > 1e-9 or n < 2 or n & (n - 1):
@@ -161,14 +167,15 @@ def increment_samples(
             np.array([i, i + 1, i, i + 1], dtype=np.int64),
             np.array([j, j, j + 1, j + 1], dtype=np.int64),
         ))
-        stencils.append((i, j, grid.eps))
+        cells.append((i, j))
+        steps.append(grid.eps)
     out = _kernels.march_points(seeds, *windows[0], coarser=windows[1:])
-    noise = _kernels._LayerNoise(seeds, 1)
+    dw = _kernels.cell_normals(seeds, *zip(*cells))
     cols = []
-    for w, (i, j, step) in enumerate(stencils):
-        c = out[:, 4 * w : 4 * w + 4]  # the window's 4 stencil corners
-        cols.append((c[:, 3] - c[:, 1]) - (c[:, 2] - c[:, 0]))
-        cols.append(noise.draw(i + j, i, 1, 0)[0] * step)
+    for w, step in enumerate(steps):
+        # the window's 4 stencil corners, (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
+        cols.append(double_increment(*out[:, 4 * w : 4 * w + 4].T))
+        cols.append(dw[:, w] * step)
     return np.column_stack(cols)
 
 

@@ -4,7 +4,8 @@
 config file plus flags (flags win), runs the experiment, writes one CSV
 into the output directory, and prints the JSON summary on stdout.
 Progress goes to stderr.  Exit codes: 0 all bounds met, 1 a bound
-failed, 2 usage problem (a help request included), 3 numeric failure.
+failed, 2 usage problem (a help request included), 3 numeric failure
+or arrays too large to allocate.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KgqvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KgqvError, MemoryError) as exc:
+        # an array past the machine's memory fails at once, after the progress lines
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -10,10 +10,12 @@ coordinates is any callable f(tau, lam).
 
 The lattice difference operator second_diff is the increment of f over
 one lattice cell: a tau difference (by +eps or -eps) of a lam
-difference (by +eps).  ``original_coord_diff`` evaluates the two
-physical-coordinate four-point stencils by mapping them onto rotated
-second differences; the mapping is exact, no physical-coordinate
-lattice exists anywhere in the package.
+difference (by +eps).  double_increment is its one rounding, shared by
+every double increment of the package, on values and on arrays alike.
+``original_coord_diff`` evaluates the two physical-coordinate
+four-point stencils by mapping them onto rotated second differences;
+the mapping is exact, no physical-coordinate lattice exists anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from .errors import DomainError, GridAlignmentError, UsageError
 
 SQRT2 = math.sqrt(2.0)
+_ALIGN_TOL = 1e-6  # grid units a point or a step may sit off the lattice
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,6 @@ def to_physical(q: RotPoint) -> PhysPoint:
     return PhysPoint((q.tau + q.lam) / SQRT2, (q.lam - q.tau) / SQRT2)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class RotatedGrid:
     """Uniform lattice in (tau, lam) with spacing eps = 1/n.
@@ -69,7 +68,7 @@ class RotatedGrid:
     j_max: int
 
     def __init__(self, n: int, i_max: int | None = None, j_max: int | None = None):
-        if not _is_power_of_two(n):
+        if not (n >= 1 and n & (n - 1) == 0):
             raise UsageError(f"grid resolution must be a power of two, got {n}")
         if i_max is None:
             i_max = n
@@ -112,40 +111,44 @@ class RotatedGrid:
                 f"[{self.i_min}, {self.i_max}] x [{self.j_min}, {self.j_max}], i+j >= 0"
             )
 
-    def index_of(self, q: RotPoint, tol: float = 1e-6) -> tuple[int, int]:
-        """Lattice index of q; raises if q is off-lattice beyond tol grid units."""
+    def index_of(self, q: RotPoint) -> tuple[int, int]:
+        """Lattice index of q; raises if q is off-lattice beyond 1e-6 grid units."""
         fi = q.tau * self.n
         fj = q.lam * self.n
         i, j = round(fi), round(fj)
-        if abs(fi - i) > tol or abs(fj - j) > tol:
+        if abs(fi - i) > _ALIGN_TOL or abs(fj - j) > _ALIGN_TOL:
             raise GridAlignmentError(
                 f"point ({q.tau}, {q.lam}) not on the eps=1/{self.n} lattice"
             )
         self.require_index(i, j)
         return i, j
 
-    def steps_of(self, eps: float, tol: float = 1e-6) -> int:
+    def steps_of(self, eps: float) -> int:
         """Number of lattice steps in an increment eps; raises if misaligned."""
         fk = eps * self.n
         k = round(fk)
-        if k < 1 or abs(fk - k) > tol:
+        if k < 1 or abs(fk - k) > _ALIGN_TOL:
             raise GridAlignmentError(
                 f"increment {eps} is not a positive multiple of 1/{self.n}"
             )
         return k
 
 
-def second_diff(f, q: RotPoint, eps: float, sign: int = 1) -> float:
-    """The tau difference (step sign*eps) of the lam difference (step +eps).
+def double_increment(c00, c10, c01, c11):
+    """(c11 - c10) - (c01 - c00), c_ab being the corner a tau and b lam steps on.
 
-    Grouped exactly as that composition rounds: the lam differences at
-    tau + sign*eps and at tau first, then their difference.
+    The lam differences first, then their tau difference, as that composition rounds.
     """
+    return (c11 - c10) - (c01 - c00)
+
+
+def second_diff(f, q: RotPoint, eps: float, sign: int = 1) -> float:
+    """The tau difference (step sign*eps) of the lam difference (step +eps)."""
     if sign not in (1, -1):
         raise UsageError(f"sign must be +1 or -1, got {sign}")
     tau2 = q.tau + sign * eps
-    return (f(tau2, q.lam + eps) - f(tau2, q.lam)) - (
-        f(q.tau, q.lam + eps) - f(q.tau, q.lam)
+    return double_increment(
+        f(q.tau, q.lam), f(tau2, q.lam), f(q.tau, q.lam + eps), f(tau2, q.lam + eps)
     )
 
 

@@ -42,9 +42,6 @@ from .greens import (
 # 5-25% slower
 _CHUNK = 256
 
-# seeds are 64-bit Philox keys; a larger one would alias a smaller one
-_SEED_LIMIT = _kernels._SEED_LIMIT
-
 # the most threads --jobs may ask for.  With jobs >= reps every seed is a
 # chunk of its own, one thread each, so an unbounded --jobs could ask for
 # tens of thousands of threads, and a failed thread start would end the
@@ -149,7 +146,8 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         path = os.path.dirname(path)
     _require(os.path.isdir(path), f"out {cfg.out} cannot be a directory: {path} is not one")
     _require(cfg.seed >= 0, f"seed must be nonnegative, got {cfg.seed}")
-    _require(cfg.seed < _SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
+    # seeds are 64-bit Philox keys; a larger one would alias a smaller one
+    _require(cfg.seed < _kernels._SEED_LIMIT, f"seed must be below 2^64, got {cfg.seed}")
     s = {}
     for key, (default, floor) in table.items():
         value = getattr(cfg, key)
@@ -173,7 +171,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
     )
     count = int(np.max(s.get("reps", 0)))
     _require(
-        cfg.seed + count <= _SEED_LIMIT,
+        cfg.seed + count <= _kernels._SEED_LIMIT,
         f"seed + replications must not exceed 2^64 (seeds are 64-bit keys), "
         f"got seed {cfg.seed} with {count} replications",
     )
@@ -216,20 +214,19 @@ def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
 
 
 def _plan_rows(cfg: ExperimentConfig, plan, march) -> list:
-    """The rows of every (width, args, reps) of plan, in plan order.
+    """The rows of every (args, reps) of plan, in plan order.
 
     The window march(seeds, *args) takes seeds cfg.seed on, reps of them.
-    The seeds are cut at every distinct reps, and each chunk makes one
+    The seeds are cut at every distinct reps, and each segment makes one
     march(seeds, *first, coarser=rest) call for the windows that take its
-    seeds, widest first (ties in plan order), so all step on the widest
-    one's noise draw; each window's columns equal its own march's.
+    seeds, in plan order; the kernel steps them all on the widest one's
+    noise draw, and each window's columns equal its own march's.
     """
     parts = [[] for _ in plan]
-    widest_first = sorted(range(len(plan)), key=lambda w: -plan[w][0])
-    bounds = sorted({0, *(reps for _, _, reps in plan)})
+    bounds = sorted({0, *(reps for _, reps in plan)})
     for lo, hi in zip(bounds, bounds[1:]):
-        active = [w for w in widest_first if plan[w][2] > lo]
-        first, *rest = (plan[w][1] for w in active)
+        active = [w for w, (_, reps) in enumerate(plan) if reps > lo]
+        first, *rest = (plan[w][0] for w in active)
         out = _seed_rows(lambda seeds: march(seeds, *first, coarser=rest),
                          cfg.seed + lo, hi - lo, cfg.jobs)
         k = out.shape[1] // len(active)
@@ -309,7 +306,7 @@ def _run_kernel_lemma(cfg: ExperimentConfig, s: dict):
             target = 2.0**-p
             devs = []
             for eps in eps_list:
-                val = kernel_second_difference_lp(a, 1.0, 0.0, eps, p)
+                val = kernel_second_difference_lp(a, 1.0, eps, p)
                 ratio = val / (eps * eps)
                 dev = abs(ratio - target)
                 devs.append(dev)
@@ -363,8 +360,8 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
     The finest level takes base reps, the next base // 2 and the others
     base // 5, all from seed cfg.seed on.  Their windows nest in the
     finest one's, so the seeds below base // 5 march every level in one
-    call, those below base // 2 the two finest, and the rest the finest
-    alone (see _plan_rows).
+    call on the finest one's draw, those below base // 2 the two finest,
+    and the rest the finest alone (see _plan_rows).
     """
     params, n, base = s["params"], s["n"], s["reps"]
     eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
@@ -378,23 +375,14 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
         coarser = [step for step, in coarser]
         return analysis.increment_samples(params, eps, point, seeds, coarser=coarser)
 
-    plan = [(1.0 / eps, (eps,), reps_of[eps]) for eps in eps_list]
+    plan = [((eps,), reps_of[eps]) for eps in eps_list]
     rows = []
     devs = []
     for eps, samples in zip(eps_list, _plan_rows(cfg, plan, march)):
         est = analysis.increment_l2_from_samples(eps, samples)
         devs.append(est.conditional_deviation)
-        rows.append(
-            (
-                eps,
-                reps_of[eps],
-                est.raw,
-                est.raw_se,
-                est.conditional,
-                est.conditional_se,
-                est.conditional_deviation,
-            )
-        )
+        rows.append((eps, reps_of[eps], est.raw, est.raw_se, est.conditional,
+                     est.conditional_se, est.conditional_deviation))
     level_rel_err = abs(est.raw / (0.5 * eps) - 1.0)  # the finest level, the loop's last
     fit = analysis.fit_loglog(eps_list, devs)
     summary = {
@@ -477,13 +465,14 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     _progress(f"remainder_rate: n={n} reps={reps} stencil columns={ncols}")
     # v and its linear twin V (theta 1, F ident 1): two windows on one draw
     v_block, lin_block = _plan_rows(cfg, [
-        (rows_grid, (*window, params.theta, F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j), reps),
-        (rows_grid, (*window, 1.0, one.fid, one.p0, one.p1, one(0.0), pts_i, pts_j), reps),
+        ((*window, params.theta, F.fid, F.p0, F.p1, F(0.0), pts_i, pts_j), reps),
+        ((*window, 1.0, one.fid, one.p0, one.p1, one(0.0), pts_i, pts_j), reps),
     ], _kernels.march_points)
 
-    def dd(block, i, j, k, sign):
-        c = lambda di, dj: block[:, col_of[(i + di, j + dj)]]
-        return (c(sign * k, k) - c(sign * k, 0)) - (c(0, k) - c(0, 0))
+    def corners(block, i, j, k, sign):
+        """The columns of the stencil corners (c00, c10, c01, c11) at (i, j)."""
+        return [block[:, col_of[(i + di, j + dj)]]
+                for di, dj in ((0, 0), (sign * k, 0), (0, k), (sign * k, k))]
 
     rows = []
     slopes = {}
@@ -491,12 +480,14 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     for p_idx, q in enumerate(points):
         i = int(round(q.tau * n))
         j = int(round(q.lam * n))
-        base = params.theta * F(v_block[:, col_of[(i, j)]])
         for sign, label in ((1, "plus"), (-1, "minus")):
             norms = []
             for eps in eps_list:
                 k = int(round(eps * n))
-                r = dd(v_block, i, j, k, sign) - base * dd(lin_block, i, j, k, sign)
+                r = analysis.linearization_remainder(
+                    corners(v_block, i, j, k, sign), corners(lin_block, i, j, k, sign),
+                    params.theta, F,
+                )
                 norm, se = analysis.lp_norm_mc(r, 2.0)
                 norms.append(norm)
                 rows.append((p_idx, q.tau, q.lam, sign, eps, norm, se))
@@ -540,12 +531,12 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
 
 
 def _qv_plan(name, params, ns, reps):
-    """_plan_rows entries (N, march_qv arguments, reps), announced on stderr."""
+    """_plan_rows entries (march_qv arguments, reps), announced on stderr."""
     F = solver.coefficient_from_id(params.diffusion_id)
     plan = []
     for N in ns:
         _progress(f"{name}: N={N} reps={reps} F={F.id} a={params.a:g}")
-        plan.append((N, (N, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m), reps))
+        plan.append(((N, params.theta, F.fid, F.p0, F.p1, F(0.0), params.a, params.m), reps))
     return plan
 
 
@@ -563,8 +554,7 @@ def _run_quadvar_rate(cfg: ExperimentConfig, s: dict):
     per_entry = _plan_rows(cfg, [entry for _, entry in plan], _kernels.march_qv)
     cols = ("part", "N", "reps", "mean_qn", "se_qn", "var_qn", "mean_gap", "se_gap")
     rows = []
-    for (part, (N, args, reps)), out in zip(plan, per_entry):
-        theta = args[1]
+    for (part, ((N, theta, *_), reps)), out in zip(plan, per_entry):
         qn, sf = out[:, 0], out[:, 1]
         gap = np.abs(qn - 0.25 * theta * theta * sf / (N * N))
         rows.append(
@@ -626,17 +616,11 @@ def _run_estimator_consistency(cfg: ExperimentConfig, s: dict):
     medians = []
     plan = _qv_plan("estimator_consistency", params, n_list, reps)
     for N, out in zip(n_list, _plan_rows(cfg, plan, _kernels.march_qv)):
-        qn, sf = out[:, 0], out[:, 1]
-        if np.any(sf <= 0.0):
-            raise NumericError("diffusion coefficient vanished on a whole sample")
-        th = np.sqrt(4.0 * N * N * qn / sf)
+        th = analysis.theta_hat(N, out[:, 0], out[:, 1])
         rel = np.abs(th - params.theta) / params.theta
         med = float(np.median(rel))
         medians.append(med)
-        rows.append(
-            (N, reps, med, float(rel.mean()),
-             float(rel.std(ddof=1)) / math.sqrt(reps))
-        )
+        rows.append((N, reps, med, float(rel.mean()), float(rel.std(ddof=1)) / math.sqrt(reps)))
     monotone = all(medians[k + 1] <= medians[k] for k in range(len(medians) - 1))
     final_ok = medians[-1] < 0.05
     summary = {

@@ -149,14 +149,13 @@ def _region_integrals(a: float, t: float, eps: float, p: float):
     return d1, d2, d3, d4
 
 
-def kernel_second_difference_lp(
-    a: float, t: float, x: float, eps: float, p: float
-) -> float:
+def kernel_second_difference_lp(a: float, t: float, eps: float, p: float) -> float:
     """Integral of |Gamma - Gamma_1 - Gamma_2 + Gamma_3|^p over the cone.
 
     Gamma_k are the critical kernels shifted to the three earlier
     stencil apexes.  The result is eps^2 / 2^p plus strip and interior
-    corrections of order eps^(1+p) and eps^(2p).
+    corrections of order eps^(1+p) and eps^(2p).  It does not depend on
+    the apex's spatial position, so that position is not an argument.
     """
     if p < 1:
         raise UsageError(f"p must be at least 1, got {p}")
@@ -164,7 +163,5 @@ def kernel_second_difference_lp(
         raise DomainError(
             f"need 0 < sqrt(2)*eps < t, got eps={eps}, t={t}"
         )
-    if abs(x) >= t:
-        raise DomainError(f"apex must lie inside the light cone, got |x|={abs(x)} >= t={t}")
     d1, d2, d3, d4 = _region_integrals(a, t, eps, p)
     return d1 + d2 + d3 + d4

@@ -172,14 +172,10 @@ def _cone_sum(x, beta):
 
 
 @_kernels._quiet
-def _picard_iterate(params, F, noise, iterations):
+def _picard_iterate(params, F, noise):
     _check_noise(noise)
     if noise.grid.n > 16:
         raise UsageError(f"oracle restricted to n <= 16, got n={noise.grid.n}")
-    if iterations is None:
-        iterations = max(8, noise.grid.n + 2)
-    if iterations < 8:
-        raise UsageError(f"need at least 8 iterations, got {iterations}")
     g = noise.grid
     L = g.shape[0]
     eps = g.eps
@@ -193,7 +189,7 @@ def _picard_iterate(params, F, noise, iterations):
     tri_part = 0.5 * _cone_sum(tri_src, beta)
     u = np.zeros((L, L))
     deltas = []
-    for _ in range(iterations):
+    for _ in range(max(8, g.n + 2)):
         src = (bcoef * u) * eps * eps + params.theta * F(u) * noise.cells
         # the mild-equation kernel held at cell centers, time offset
         # (di+dj-1) steps: (1/2) beta^(di+dj-1) at offsets di, dj >= 1
@@ -212,17 +208,15 @@ def _picard_iterate(params, F, noise, iterations):
     return u, np.asarray(deltas)
 
 
-def picard_oracle(
-    params: PhysParams, F: DiffusionCoefficient, noise: NoiseField, iterations=None
-) -> FieldSample:
+def picard_oracle(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField) -> FieldSample:
     """Fixed-point iteration of the discretized mild equation.
 
     O(n^2) per sweep via separable cone sums; restricted to tiny
-    grids.  With K at least n+2 sweeps the iteration is an exact fixed
-    point: sweep k is already exact on layers up to 2k because each
-    sweep only reads strictly earlier layers.
+    grids.  It runs max(8, n+2) sweeps, an exact fixed point: sweep k
+    is already exact on layers up to 2k because each sweep only reads
+    strictly earlier layers.
     """
-    u, _ = _picard_iterate(params, F, noise, iterations)
+    u, _ = _picard_iterate(params, F, noise)
     u.setflags(write=False)
     return FieldSample(noise.grid, u, params)
 

@@ -312,6 +312,20 @@ class TestRuns:
         assert rc == 3
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("exp", ["linear_variance", "remainder_rate"])
+    def test_arrays_too_large_to_allocate_exit_three(self, exp, tmp_path):
+        # at n = 2^50 the first layer buffer is petabytes, which numpy
+        # refuses at once, so this touches no memory; its MemoryError
+        # used to end the run in a traceback with exit 1
+        out = tmp_path / "out"
+        r = run_proc(["run", "--experiment", exp, "--n", str(2**50), "--reps", "500",
+                      "--out", str(out)])
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_non_finite_summary_exits_three_and_writes_no_csv(
         self, tmp_path, capsys, monkeypatch
     ):

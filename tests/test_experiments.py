@@ -9,7 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from kgqv import cli, experiments
+from kgqv import _kernels, cli, experiments, solver
+from kgqv.coords import RotatedGrid
 from kgqv.errors import NumericError, UsageError
 from kgqv.experiments import ExperimentConfig, ExperimentReport
 
@@ -232,6 +233,46 @@ class TestSeedRows:
             with pytest.raises(UsageError, match="2\\^64"):
                 experiments.validate_config(cfg)
         experiments.validate_config(ExperimentConfig(experiment="quadvar_rate", seed=2**64 - 500))
+
+
+class TestPlanRows:
+    # windows in no width order, with three distinct reps counts, so the
+    # seed segments march three, two and one of them in one call
+    REPS = (5, 12, 9)
+
+    def separate(self, plan, march, seed):
+        return [march(np.uint64(seed) + np.arange(reps, dtype=np.uint64), *args)
+                for args, reps in plan]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_march_qv_plan_rows_equal_separate_marches(self, jobs):
+        F, one = solver.shifted_sine(), solver.constant_one()
+        plan = [
+            ((8, 2.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5), self.REPS[0]),
+            ((16, 1.0, one.fid, one.p0, one.p1, one(0.0), 0.0, 1.0), self.REPS[1]),
+            ((4, 2.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5), self.REPS[2]),
+        ]
+        cfg = ExperimentConfig(experiment="quadvar_rate", seed=2**40 + 3, jobs=jobs)
+        rows = experiments._plan_rows(cfg, plan, _kernels.march_qv)
+        want = self.separate(plan, _kernels.march_qv, cfg.seed)
+        assert [r.tobytes() for r in rows] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_march_points_plan_rows_equal_separate_marches(self, jobs):
+        F, one = solver.shifted_sine(), solver.constant_one()
+        plan = []
+        for n, model, reps in [
+            (16, (1.0, 0.5, 2.0, F.fid, F.p0, F.p1, F(0.0)), self.REPS[0]),
+            (32, (1.0, 0.5, 1.0, one.fid, one.p0, one.p1, one(0.0)), self.REPS[1]),
+            (8, (2.0, 0.25, 2.0, F.fid, F.p0, F.p1, F(0.0)), self.REPS[2]),
+        ]:
+            grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 1)
+            pts = np.array([n // 2, n // 2 + 1, n // 4], dtype=np.int64)
+            plan.append(((grid.shape[0], grid.i_min, grid.eps, *model, pts, pts[::-1]), reps))
+        cfg = ExperimentConfig(experiment="remainder_rate", seed=2**63 + 1, jobs=jobs)
+        rows = experiments._plan_rows(cfg, plan, _kernels.march_points)
+        want = self.separate(plan, _kernels.march_points, cfg.seed)
+        assert [r.tobytes() for r in rows] == [w.tobytes() for w in want]
 
 
 class TestTheta:

@@ -138,14 +138,14 @@ class TestKernelSecondDifference:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("t,eps", [(1.0, 1.0 / 16), (0.7, 1.0 / 64), (1.0, 2.0**-10)])
     def test_matches_adaptive_quadrature(self, a, p, t, eps):
-        got = kernel_second_difference_lp(a, t, 0.0, eps, p)
+        got = kernel_second_difference_lp(a, t, eps, p)
         want = lp_dblquad(a, t, eps, p)
         assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_undamped_value_is_exact(self, p):
         eps = 1.0 / 32
-        got = kernel_second_difference_lp(0.0, 1.0, 0.0, eps, p)
+        got = kernel_second_difference_lp(0.0, 1.0, eps, p)
         assert got == eps * eps / 2.0**p
 
     @pytest.mark.parametrize("a,constant", [(1.0, 0.9386), (2.0, 1.2642)])
@@ -161,25 +161,17 @@ class TestKernelSecondDifference:
         assert f"{constant:.4f} at a={a:g}" in note
         assert round(limit, 4) == constant
         eps = 2.0**-12
-        ratio = kernel_second_difference_lp(a, t, 0.0, eps, 1.0) / (eps * eps)
+        ratio = kernel_second_difference_lp(a, t, eps, 1.0) / (eps * eps)
         assert abs(ratio - limit) < 1e-3
-
-    def test_independent_of_spatial_position(self):
-        a, t, eps, p = 1.0, 1.0, 1.0 / 16, 2.0
-        v0 = kernel_second_difference_lp(a, t, 0.0, eps, p)
-        v1 = kernel_second_difference_lp(a, t, 0.4, eps, p)
-        assert v0 == v1
 
     def test_leading_order_mass(self):
         # The diamond carries eps^2/2^p; corrections are higher order.
         eps = 2.0**-8
-        got = kernel_second_difference_lp(1.0, 1.0, 0.0, eps, 2.0)
+        got = kernel_second_difference_lp(1.0, 1.0, eps, 2.0)
         assert abs(got / (eps * eps) - 0.25) < 0.05 * 0.25
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            kernel_second_difference_lp(1.0, 0.1, 0.0, 0.25, 2.0)
-        with pytest.raises(DomainError):
-            kernel_second_difference_lp(1.0, 1.0, 1.5, 1.0 / 16, 2.0)
+            kernel_second_difference_lp(1.0, 0.1, 0.25, 2.0)
         with pytest.raises(UsageError):
-            kernel_second_difference_lp(1.0, 1.0, 0.0, 1.0 / 16, 0.5)
+            kernel_second_difference_lp(1.0, 1.0, 1.0 / 16, 0.5)

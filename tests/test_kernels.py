@@ -202,22 +202,27 @@ def test_shared_level_march_equals_separate_marches(a, m, coupled, R):
     assert shared.tobytes() == np.hstack(alone).tobytes()
 
 
-def test_a_coarser_window_must_nest():
+def test_a_window_must_nest_in_the_widest():
     F = shifted_sine()
-    args = (1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
-    with pytest.raises(UsageError, match="nest"):
-        _kernels.march_qv(SEEDS, 8, *args, coarser=[(16, *args)])
     model = (1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0))
     first = level_window(16, model)
     L, i_min, *rest = first
-    # wider than the first window, then shifted one row past its end
-    for coarser in ([level_window(32, model)], [(L, i_min + 1, *rest)]):
-        with pytest.raises(UsageError, match="nest"):
-            _kernels.march_points(SEEDS, *first, coarser=coarser)
+    # as wide as the first window, shifted one row past its end
     with pytest.raises(UsageError, match="nest"):
-        analysis.increment_samples(
-            PhysParams(), 1 / 16, RotPoint(0.5, 0.5), SEEDS, coarser=(1 / 32,)
-        )
+        _kernels.march_points(SEEDS, *first, coarser=[(L, i_min + 1, *rest)])
+    # a window wider than the first is the one the others step on
+    wider = level_window(32, model)
+    shared = _kernels.march_points(SEEDS, *first, coarser=[wider])
+    alone = [_kernels.march_points(SEEDS, *w) for w in (first, wider)]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
+    args = (1.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
+    shared = _kernels.march_qv(SEEDS, 8, *args, coarser=[(16, *args)])
+    alone = [_kernels.march_qv(SEEDS, N, *args) for N in (8, 16)]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
+    point = RotPoint(0.5, 0.5)
+    shared = analysis.increment_samples(PhysParams(), 1 / 16, point, SEEDS, coarser=(1 / 32,))
+    alone = [analysis.increment_samples(PhysParams(), e, point, SEEDS) for e in (1 / 16, 1 / 32)]
+    assert shared.tobytes() == np.hstack(alone).tobytes()
 
 
 @pytest.mark.parametrize("coupled", [False, True])

@@ -476,7 +476,7 @@ class TestPicardOracle:
         params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
         F = shifted_sine()
         nf = noise.generate(RotatedGrid(8), 3)
-        _, d = _picard_iterate(params, F, nf, None)
+        _, d = _picard_iterate(params, F, nf)
         assert d.shape[0] == 10
         for k in range(3, len(d)):
             assert d[k] <= 0.5 * d[k - 1] or d[k] == 0.0
@@ -496,13 +496,10 @@ class TestPicardOracle:
         params = PhysParams(a=1.0, m=0.5, theta=1e200, diffusion_id="affine")
         nf = noise.generate(RotatedGrid(8), 3)
         with pytest.raises(NumericError):
-            oracle(params, affine(), nf, None)
+            oracle(params, affine(), nf)
 
     def test_size_and_iteration_guards(self):
         params = PhysParams()
         F = shifted_sine()
         with pytest.raises(UsageError):
             picard_oracle(params, F, noise.generate(RotatedGrid(32), 1))
-        nf = noise.generate(RotatedGrid(8), 1)
-        with pytest.raises(UsageError):
-            picard_oracle(params, F, nf, iterations=4)
