@@ -12,7 +12,7 @@ lock-step from one noise draw, as march_qv does for the resolutions of
 a quadratic-variation sweep and march_points for the levels of
 linear_variance: a normal is a pure function of its lattice index, so
 each layer is drawn once, for the widest window, and every other
-window steps on a row slice of that draw, scaled by its own eps.  A
+window steps on a row slice of that draw, weighted by its own eps.  A
 window carries its whole model (a, m, theta and F), and a window may
 repeat: the coupled linear twin of a march is one more window, the
 same one with theta 1 and F ident 1, and quadvar_rate's linear part
@@ -29,6 +29,29 @@ Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and every result leaves the module only when it is
 finite.
 
+The layer loop leaves out the passes that cannot change a bit in the
+experiments' usual models: F ident 1, critical damping and a weight
+of 1.  Every march takes its noise drive from one helper, _drive, as
+(F(bot) w) dW: the replication kernels fold eps into the weight,
+w = (theta/2) eps, and multiply the raw normals, which rounds as
+(F theta/2)(z eps) since every caller's eps is a power of two (unless
+F theta/2 eps falls below the normal range).  F ident 1 is never
+evaluated (the drive is w dW, and march_qv adds its sum of F^2 as a
+count of ones), and neither a weight w of exactly 1 nor the slope of
+shifted_sine at 1 is multiplied in: x * 1.0 is x, bit for bit.  At
+critical damping, a = 2m and every experiment's default, the
+own-bottom weight drh is 0, and from layer 3 on its term is left out
+where beta > 1/2.  Adding 0*bot changes a cell only where the rest of
+its update is exactly -0.0, and turns it +0.0.  That rest is -0.0
+only if beta^2 bot is +0.0 (so bot >= +0 and the term is +0.0 too),
+the drive is -0.0 and beta (A[k] + A[k+1]) is -0.0: both tops are
+-0.0, or beta times a negative subnormal rounds to -0.0, which needs
+beta <= 1/2.  Layer 1 holds -0.0 wherever F(0) = 0 and the triangle
+increment is negative, so layer 2 keeps the term; a layer stepped
+with it holds no -0.0, and then neither does a later one stepped
+without it when beta > 1/2.  A bot that is not finite fails the march
+either way.
+
 Noise convention: the standard normal attached to lattice index (i, j)
 and stream `kind` comes from the Philox4x32-10 block with counter
 ((i + j) + 2^31, (i >> 1) + 2^31, kind, 0) and key (seed_lo, seed_hi);
@@ -39,17 +62,25 @@ cells of one anti-diagonal in increasing i, use both outputs of almost
 every block instead of discarding the second.  One implementation,
 _LayerNoise.blocks, runs the rounds and the Box-Muller tail: the
 replication kernels draw a whole layer for a chunk of replications
-through _LayerNoise.draw, triangle_normals draws layer 1 the same way
-for one seed, cell_normals draws single cells for a chunk of
-replications, and lattice_normals draws its rectangle _FILL_PAIR_ROWS
-pair rows at a time so that a block's temporaries stay in cache;
+through _LayerNoise.layers, triangle_normals draws layer 1 through
+_LayerNoise.draw for one seed, cell_normals draws single cells for a
+chunk of replications, and lattice_normals draws its rectangle
+_FILL_PAIR_ROWS pair rows at a time so that a block's temporaries stay
+in cache;
 noise.generate draws only the pairs on or above the initial line.
-The draw keeps a block's four state words as two stacked pairs,
+Round 1's first word, x0 = q ^ hi(PM1 kind) ^ k0, and its round-2
+product PM0 x0 depend on (q, kind, seed) but not on the anti-diagonal,
+so _LayerNoise.counter_words computes that product's hi and lo words
+apart from blocks: _LayerNoise.layers computes them once per chunk,
+for every pair the widest window's kind-0 layers reach, and each layer
+slices that table; the fill, cell_normals and the layer-1 (kind-1)
+draw compute them on the spot, in the scratch rows blocks reads them
+from.  The draw keeps a block's four state words as two stacked pairs,
 [x0, x2] and [x1, x3], so that one numpy call runs a round step on
 both halves, and takes its uniforms, trig values and normals in the
-memory of the words it has used up: three word buffers per chunk are
-its whole scratch.  So blocks and draw return views of that scratch,
-which the next call overwrites; a caller reads them first.
+memory of the words it has used up: three word buffers per chunk, and
+the table, are its whole scratch.  So blocks and draw return views of
+that scratch, which the next call overwrites; a caller reads them first.
 """
 
 from __future__ import annotations
@@ -84,6 +115,9 @@ _BM_SCALE = np.array([2.0**-53, 2.0**-53 * (2.0 * math.pi)])[:, None, None]
 _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
 _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
+# lattice resolutions: a march at n reaches anti-diagonals below 2n, which
+# stay under 2^31 and so fit the u32 counter word once recentred
+_N_LIMIT = 2**30
 # blocks that keep the stored-window work in cache: anti-diagonal layers
 # per block of _march_stored, and pair rows per block of the stored fill
 _LAYER_BLOCK = 16
@@ -114,9 +148,16 @@ def _finite(*arrays):
 
 
 def _rates(eps, a, m, theta):
-    """Cell decay beta, noise weight theta/2 and drift weight b eps^2/2."""
+    """Cell decay beta, noise weight theta/2 and own-bottom weights.
+
+    The own-bottom weight drh = b eps^2/2 comes twice: for layer 2, and
+    for every later layer, where it is None if adding drh*bot cannot
+    change a bit there: drh is 0, as at critical damping a = 2m, and
+    beta > 1/2 (the module docstring says why).
+    """
     beta = math.exp(-a * eps / (2.0 * _SQRT2))
-    return beta, 0.5 * theta, 0.5 * (0.25 * a * a - m * m) * eps * eps
+    drh = 0.5 * (0.25 * a * a - m * m) * eps * eps
+    return beta, 0.5 * theta, drh, None if drh == 0.0 and beta > 0.5 else drh
 
 
 def _f_eval_np(fid, p0, p1, x, out=None):
@@ -129,7 +170,8 @@ def _f_eval_np(fid, p0, p1, x, out=None):
         out += p0
     elif fid == FID_SHIFTED_SINE:
         np.sin(x, out=out)
-        out *= p1
+        if p1 != 1.0:
+            out *= p1
         out += p0
     else:
         np.clip(x, -p0, p0, out=out)
@@ -152,9 +194,12 @@ class _LayerNoise:
     a stacked (2, P, R) block on its first 2*P*R entries: H = [x0, x2],
     Lo = [x1, x3] and the products T.  From round four on a round is
     five calls for both halves at once, since each half's new high word
-    takes the other half's product.  With a scalar sig, as a layer draw
-    has, some state words are constant along one axis until round
-    four; those stay at their smaller shapes and cost no full pass.
+    takes the other half's product.  Rounds 1 and 2 start from the
+    counter words, hi and lo of PM0 x0, which do not depend on sig:
+    blocks takes them from a table's rows or from x2's and x3's own.
+    With a scalar sig, as a layer draw has, some state words are
+    constant along one axis until round four; those stay at their
+    smaller shapes and cost no full pass.
     Box-Muller runs in the memory of the words it has used up: the
     uniforms in T, the trig values in Lo and the (P, 2, R) normals in
     H, so what blocks and draw return is a view of the scratch, to be
@@ -174,41 +219,60 @@ class _LayerNoise:
         self.keys = keys[:3]
         self.stacked = [np.stack(k)[:, None] for k in keys[3:]]
         size = 2 * (max_count // 2 + 1) * R
-        self.words = [np.empty(size, dtype=np.uint64) for _ in range(3)]
+        self.scratch = [np.empty(size, dtype=np.uint64) for _ in range(3)]
         self.reps = R
 
-    def blocks(self, sig, q, kind):
+    def _state(self, P):
+        """The scratch as stacked (2, P, R) blocks H, Lo and T."""
+        return (w[: 2 * P * self.reps].reshape(2, P, self.reps) for w in self.scratch)
+
+    def counter_words(self, q, kind, out=None):
+        """hi and lo of PM0 x0 for the blocks (., q, kind, 0), each (P, R).
+
+        x0 = q ^ hi(PM1 kind) ^ k0 is round 1's first word; neither
+        depends on the anti-diagonal.  `q` is a (P, 1) array of i >> 1
+        values.  Without `out` the words go to the scratch rows where
+        blocks reads them, in place of x2 and x3.
+        """
+        if out is None:
+            H, Lo, _ = self._state(q.shape[0])
+            out = H[1], Lo[1]
+        hi, lo = out
+        q = ((q + _IOFF) & _IMASK).astype(np.uint64)
+        np.bitwise_xor(q ^ ((int(_PM1) * kind) >> 32), self.keys[0][0], out=lo)
+        lo *= _PM0
+        np.right_shift(lo, _SH32, out=hi)
+        lo &= _MASK32
+        return hi, lo
+
+    def blocks(self, sig, words, kind):
         """(P, 2, R) rad*cos and rad*sin of the blocks (sig, q, kind, 0).
 
-        `q` is a (P, 1) array of i >> 1 values and `sig` an integer or an
-        array of anti-diagonals that broadcasts with it.  The result is a
-        view of the scratch that the next call overwrites.
+        `words` are counter_words(q, kind) for a (P, 1) array of i >> 1
+        values, and `sig` an integer or an array of anti-diagonals that
+        broadcasts with q.  The result is a view of the scratch that the
+        next call overwrites.
         """
-        R = self.reps
-        P = q.shape[0]
-        H, Lo, T = (w[: 2 * P * R].reshape(2, P, R) for w in self.words)
+        hi, lo = words
+        P = hi.shape[0]
+        H, Lo, T = self._state(P)
         x0, x2 = H
         x1, x3 = Lo
         t0, t1 = T
         keys = self.keys
-        q = ((q + _IOFF) & _IMASK).astype(np.uint64)
-        # round 1 takes the counter (sig, q, kind, 0).  The shapes below are
-        # for a scalar sig; an array sig, as the fill passes, widens the
-        # words it reaches to one per pair
+        # round 1 takes the counter (sig, q, kind, 0); its x0 is in the
+        # counter words.  The shapes below are for a scalar sig; an array
+        # sig, as the fill passes, widens the words it reaches to one per pair
         p0 = _PM0 * np.asarray((sig + _IOFF) & _IMASK, dtype=np.uint64)
-        p1 = int(_PM1) * kind
-        np.bitwise_xor(q ^ (p1 >> 32), keys[0][0], out=x0)
-        c1 = p1 & _IMASK
+        c1 = (int(_PM1) * kind) & _IMASK
         c2 = (p0 >> _SH32) ^ keys[0][1]
         c3 = p0 & _MASK32
-        # round 2: c0 full, c2 per replication, c1 and c3 scalars
-        np.multiply(x0, _PM0, out=t0)
+        # round 2: x0's product is in the counter words, c2 per
+        # replication, c1 and c3 scalars
         r1 = _PM1 * c2
         c0 = (r1 >> _SH32) ^ c1 ^ keys[1][0]
         c1 = r1 & _MASK32
-        np.right_shift(t0, _SH32, out=x2)
-        x2 ^= keys[1][1] ^ c3
-        np.bitwise_and(t0, _MASK32, out=x3)
+        np.bitwise_xor(hi, keys[1][1] ^ c3, out=x2)
         # round 3: c0 and c1 per replication, c2 full; its c3, per
         # replication, goes into x3 so that round 4 runs in the loop
         r0 = _PM0 * c0
@@ -216,7 +280,7 @@ class _LayerNoise:
         np.right_shift(t1, _SH32, out=x0)
         x0 ^= c1 ^ keys[2][0]
         np.bitwise_and(t1, _MASK32, out=x1)
-        np.bitwise_xor(x3, (r0 >> _SH32) ^ keys[2][1], out=x2)
+        np.bitwise_xor(lo, (r0 >> _SH32) ^ keys[2][1], out=x2)
         np.bitwise_and(r0, _MASK32, out=x3)
         # rounds 4-10: T = [PM0 x0, PM1 x2], H = hi(T reversed) ^ Lo ^ key,
         # Lo = lo(T reversed)
@@ -244,20 +308,40 @@ class _LayerNoise:
         np.sin(ang, out=trig[1])
         # the normals go to H's memory pair by pair, so that the 2P cells
         # of P pairs are 2P contiguous rows
-        z = H.view(np.float64).reshape(P, 2, R)
+        z = H.view(np.float64).reshape(P, 2, self.reps)
         np.multiply(rad[:, None], trig.transpose(1, 0, 2), out=z)
         return z
 
-    def draw(self, sig, ic0, count, kind):
+    def draw(self, sig, ic0, count, kind, words=None):
         """(count, R) normals for cells i = ic0 + k, j = sig - i.
 
+        `words` holds the counter words of q = ic0 >> 1 and on, at least
+        as many as the cells' pairs, or is computed here when not given.
         Rows of the blocks' pairs, so again a view of the scratch.
         """
         q0 = ic0 >> 1
         P = ((ic0 + count - 1) >> 1) - q0 + 1
-        z = self.blocks(sig, q0 + np.arange(P)[:, None], kind)
+        if words is None:
+            words = self.counter_words(q0 + np.arange(P)[:, None], kind)
+        z = self.blocks(sig, (words[0][:P], words[1][:P]), kind)
         first = ic0 & 1
         return z.reshape(2 * P, self.reps)[first : first + count]
+
+    def layers(self, i0, L0):
+        """The kind-0 normals of layers 2 .. L0-1 of the window (L0, i0).
+
+        Layer s covers cells i0 + s - 1 .. i0 + L0 - 2 of anti-diagonal
+        s - 2.  The counter words of every pair these layers reach are
+        computed once, into a table of their own, and each layer's draw
+        slices them; each yield is a view of the scratch.
+        """
+        qt = (i0 + 1) >> 1
+        q = qt + np.arange(((i0 + L0 - 2) >> 1) - qt + 1)[:, None]
+        table = np.empty((2, q.shape[0], self.reps), dtype=np.uint64)
+        self.counter_words(q, 0, out=table)
+        for s in range(2, L0):
+            ic0 = i0 + s - 1
+            yield self.draw(s - 2, ic0, L0 - s, 0, table[:, (ic0 >> 1) - qt :])
 
 
 def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
@@ -284,7 +368,8 @@ def lattice_normals(i0, j0, shape, kind, seed, sig_min=None):
         qs = np.broadcast_to(q, sig.shape)[on]
         cos, sin = pairs[:, : q.shape[0]]
         cos[:] = sin[:] = 0.0
-        cos[on], sin[on] = noise.blocks(sig[on][:, None], qs[:, None], kind)[:, :, 0].T
+        words = noise.counter_words(qs[:, None], kind)
+        cos[on], sin[on] = noise.blocks(sig[on][:, None], words, kind)[:, :, 0].T
         z[p : p + q.shape[0], 0] = cos[:, :cols]
         z[p : p + q.shape[0], 1] = sin[:, 1:]
     return z.reshape(-1, cols)[first : first + rows]
@@ -300,8 +385,26 @@ def cell_normals(seeds, pts_i, pts_j):
     seeds = _seed_array(seeds)
     i = np.asarray(pts_i, dtype=np.int64)
     sig = i + np.asarray(pts_j, dtype=np.int64)
-    z = _LayerNoise(seeds, 2 * i.shape[0]).blocks(sig[:, None], (i >> 1)[:, None], 0)
+    noise = _LayerNoise(seeds, 2 * i.shape[0])
+    z = noise.blocks(sig[:, None], noise.counter_words((i >> 1)[:, None], 0), 0)
     return z[np.arange(i.shape[0]), i & 1].T
+
+
+def _drive(out, fb, w, dW):
+    """The noise drive (F(bot) w) dW of a layer's cells, into `out`.
+
+    The one drive of every march: fb = F(bot), or None for F ident 1,
+    and w = theta/2 on stored increments or (theta/2) eps on raw
+    normals.  A w of exactly 1 is not multiplied into F(bot).
+    """
+    if fb is None:
+        np.multiply(dW, w, out=out)
+    elif w == 1.0:
+        np.multiply(fb, dW, out=out)
+    else:
+        np.multiply(fb, w, out=out)
+        out *= dW
+    return out
 
 
 def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
@@ -311,9 +414,9 @@ def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     and bot = B[k+1]; the arrays are contiguous (slot, replication)
     blocks of the replication kernels or (slot, field) blocks of the
     stored marches.  drh=None leaves out the own-bottom reaction term:
-    the stored marches add it to v's column alone after the step (the
-    split parts v_L and v_C have none) rather than adding 0*bot, which
-    would turn -0.0 into +0.0 and an infinity into nan.
+    where its weight is zero and leaving it out cannot change a bit (see
+    _rates), and in the stored marches, which add it to v's column alone
+    after the step (the split parts v_L and v_C have none).
     """
     x = X[:c]
     t = tmp[:c]
@@ -361,12 +464,12 @@ def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
 
     v_C takes v's noise drive th2*F(v(bottom))*dW and v_L the drift
     drive (1/2)(b v(bottom)) eps^2.  Only v gains the own-bottom term
-    drh*bot, added after the step, so v_L + v_C reproduces v to
-    round-off and the parts never gain a 0*bot (which would turn -0.0
-    into +0.0).
+    drh*bot, added after the step (from layer 3 on only where it can
+    change a bit, see _rates), so v_L + v_C reproduces v to round-off
+    and the parts never gain a 0*bot (which would turn -0.0 into +0.0).
     """
     L = cells.shape[0]
-    beta, th2, drh = _rates(eps, a, m, theta)
+    beta, th2, drh2, drh = _rates(eps, a, m, theta)
     beta2 = beta * beta
     bcoef = 0.25 * a * a - m * m
     nfield = 3 if split else 1
@@ -390,9 +493,8 @@ def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
             s = s0 + r
             c = L - s
             bot = B[1 : c + 1, 0]
-            d = drive[:c, 0]
-            np.multiply(_f_eval_np(fid, p0, p1, bot, out=fb[:c]), th2, out=d)
-            d *= dws[s - 1 : L - 1, r]
+            fbc = None if fid == FID_CONSTANT_ONE else _f_eval_np(fid, p0, p1, bot, out=fb[:c])
+            d = _drive(drive[:c, 0], fbc, th2, dws[s - 1 : L - 1, r])
             if split:
                 drive[:c, 2] = d
                 b = drive[:c, 1]
@@ -401,8 +503,9 @@ def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
                 b *= eps
                 b *= eps
             _step_np(X, A, B, c, drive[:c], beta, beta2, None, tmp)
-            np.multiply(bot, drh, out=fb[:c])
-            X[:c, 0] += fb[:c]
+            d = drh2 if s == 2 else drh
+            if d is not None:
+                X[:c, 0] += np.multiply(bot, d, out=fb[:c])
             stage[s:, r] = X[:c]
             B, A, X = A, X, B
         for f, flat in enumerate(flats):
@@ -439,9 +542,11 @@ def _march_layers(seeds, windows):
     window's place in the list.  X is layer s, A and B the two layers
     before it, all (slot k, replication) buffers of which the first
     c = L - s slots of X are live; fb = F(B[1 : c+1]) are the c
-    bottom coefficients of the layer.  Layer 1 comes from the boundary
-    triangles: its cells have their bottoms below the initial line, so
-    it has no cell increment.  Buffers are reused, so a yield must be
+    bottom coefficients of the layer, or None for F ident 1, which is
+    never evaluated.  A window's eps must be a power of two, as every
+    caller's is, since the drive folds it into the noise weight.  Layer
+    1 comes from the boundary triangles: its cells have their bottoms
+    below the initial line, so it has no cell increment.  Buffers are reused, so a yield must be
     read before the next one is asked for.
     """
     L0, i0 = max(windows, key=lambda w: w[0])[:2]
@@ -455,26 +560,25 @@ def _march_layers(seeds, windows):
         if o < 0 or o + L > L0:
             raise UsageError("every window must nest in the widest")
         tri = eps / _SQRT2
-        beta, th2, drh = _rates(eps, a, m, theta)
+        beta, th2, drh2, drh = _rates(eps, a, m, theta)
         field = [np.zeros((L + 1, R)) for _ in range(3)]  # B, A, X
         # grouped as _march_stored does with the stored tri * z, so both
         # routes give the same bytes
         field[2][: L - 1] = (th2 * f0) * (tri * z1[o : o + L - 1])
-        marches.append((L, o, eps, beta, beta * beta, th2, drh, (fid, p0, p1), field))
+        coef = None if fid == FID_CONSTANT_ONE else (fid, p0, p1)
+        marches.append((L, o, th2 * eps, beta, beta * beta, drh2, drh, coef, field))
+    draws = noise.layers(i0, L0)
     for s in range(1, L0):
-        z = noise.draw(s - 2, i0 + s - 1, L0 - s, 0) if s > 1 else None
-        for w, (L, o, eps, beta, beta2, th2, drh, coef, field) in enumerate(marches):
+        z = next(draws) if s > 1 else None
+        for w, (L, o, weight, beta, beta2, drh2, drh, coef, field) in enumerate(marches):
             if s >= L:
                 continue
             c = L - s
             B, A, X = field
-            fb = _f_eval_np(*coef, B[1 : c + 1], out=fb_buf[:c])
+            fb = None if coef is None else _f_eval_np(*coef, B[1 : c + 1], out=fb_buf[:c])
             if s > 1:
-                drive = drive_buf[:c]
-                np.multiply(fb, th2, out=drive)
-                # dW lives in tmp until the drive has it; the step reuses tmp
-                drive *= np.multiply(z[o : o + c], eps, out=tmp[:c])
-                _step_np(X, A, B, c, drive, beta, beta2, drh, tmp)
+                drive = _drive(drive_buf[:c], fb, weight, z[o : o + c])
+                _step_np(X, A, B, c, drive, beta, beta2, drh2 if s == 2 else drh, tmp)
             yield w, s, X, A, B, fb
             field[:] = A, X, B
 
@@ -559,8 +663,11 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
             # add the layer's cells one at a time in slot order, whatever
             # the chunk size (np.sum would go pairwise for a single row)
             sums[2 * w] += np.add.accumulate(d, axis=0, out=acc[:k])[-1]
-            np.multiply(fb[lo:hi], fb[lo:hi], out=d)
-            sums[2 * w + 1] += np.add.accumulate(d, axis=0, out=acc[:k])[-1]
+            if fb is None:  # F ident 1: k ones add up to k exactly
+                sums[2 * w + 1] += k
+            else:
+                np.multiply(fb[lo:hi], fb[lo:hi], out=d)
+                sums[2 * w + 1] += np.add.accumulate(d, axis=0, out=acc[:k])[-1]
     out = np.ascontiguousarray(sums.T)
     _finite(out)
     return out

@@ -126,9 +126,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
 
     Raises UsageError before the experiment starts: for an unknown
     experiment, a key it does not read, jobs outside [1, MAX_JOBS], an
-    out that cannot become a directory, a value below its floor, bad
-    equation parameters, a constant diffusion for remainder_rate, or
-    seeds past 2^64 at its largest replication count.
+    out that cannot become a directory, a value below its floor, an n
+    that is no power of two or above 2^30, bad equation parameters, a
+    constant diffusion for remainder_rate, or seeds past 2^64 at its
+    largest replication count.
     """
     _require(
         cfg.experiment in EXPERIMENT_IDS,
@@ -157,6 +158,9 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         if key == "n":
             _require(value >= 2 and value & (value - 1) == 0,
                      f"n must be a power of two, got {value}")
+            _require(value <= _kernels._N_LIMIT,
+                     f"n must be at most 2^30 (lattice indices are 32-bit Philox "
+                     f"counter words), got {value}")
         if floor is not None:
             _require(value >= floor, f"{cfg.experiment} needs {key} >= {floor}, got {value}")
         s[key] = (value,) * len(default) if isinstance(default, tuple) else value

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqv import cli, experiments
+from kgqv import _kernels, cli, experiments
 from kgqv.errors import NumericError
 from kgqv.experiments import EXPERIMENT_IDS, ExperimentReport
 
@@ -176,6 +176,23 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") and "2^64" in err
 
+    # past n = 2^30 a march's anti-diagonals no longer fit the 32-bit Philox
+    # counter word; 2^63 used to end in a ValueError traceback and 2^70 in
+    # an OverflowError one, both with exit 1
+    @pytest.mark.parametrize("exp", ["linear_variance", "remainder_rate"])
+    @pytest.mark.parametrize("k", [31, 50, 63, 70])
+    def test_n_past_the_counter_range_exits_two_before_the_run(self, exp, k, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc, stdout, err = run_main(
+            ["run", "--experiment", exp, "--n", str(2**k), "--reps", "500", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert err == (f"error: n must be at most 2^30 (lattice indices are 32-bit "
+                       f"Philox counter words), got {2**k}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "exp,n", [("remainder_rate", 128), ("quadvar_rate", 256), ("estimator_consistency", 128)]
     )
@@ -313,17 +330,22 @@ class TestRuns:
         assert "non-finite" in err
 
     @pytest.mark.parametrize("exp", ["linear_variance", "remainder_rate"])
-    def test_arrays_too_large_to_allocate_exit_three(self, exp, tmp_path):
-        # at n = 2^50 the first layer buffer is petabytes, which numpy
-        # refuses at once, so this touches no memory; its MemoryError
-        # used to end the run in a traceback with exit 1
+    def test_arrays_too_large_to_allocate_exit_three(self, exp, tmp_path, capsys, monkeypatch):
+        # the first allocation of a march past the machine's memory fails at
+        # once with numpy's MemoryError, which used to end the run in a
+        # traceback with exit 1
+        def refuse(seeds, max_count):
+            raise MemoryError("Unable to allocate 400. GiB for an array with shape "
+                              "(53687091200,) and data type uint64")
+
+        monkeypatch.setattr(_kernels, "_LayerNoise", refuse)
         out = tmp_path / "out"
-        r = run_proc(["run", "--experiment", exp, "--n", str(2**50), "--reps", "500",
-                      "--out", str(out)])
-        assert r.returncode == 3
-        assert r.stdout == ""
-        assert r.stderr.splitlines()[-1].startswith("error: ")
-        assert "Traceback" not in r.stderr
+        rc, stdout, err = run_main(["run", "--experiment", exp, "--out", str(out)], capsys)
+        assert rc == 3
+        assert stdout == ""
+        assert err.splitlines()[-1] == ("error: Unable to allocate 400. GiB for an array "
+                                        "with shape (53687091200,) and data type uint64")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_non_finite_summary_exits_three_and_writes_no_csv(

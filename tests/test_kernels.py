@@ -359,3 +359,124 @@ def test_march_qv_rows_match_recorded(N, F):
     F = {"shifted_sine": shifted_sine, "constant_one": constant_one}[F]()
     out = _kernels.march_qv(ROW_SEEDS, N, 2.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
     assert hashlib.sha256(out.tobytes()).hexdigest() == QV_SHA256[N, F.id]
+
+
+# SHA-256 of the marches on models whose cell update the pins above do not
+# reach (numpy 2.4): a nonzero own-bottom weight drh (hyperbolic damping),
+# beta = 1 (no damping), theta 0.7, an F whose slope is not 1 or whose
+# offset is not 2, and noise weights of exactly 1: theta 2 makes the stored
+# march's theta/2 one, and theta 2n the replication kernels' theta eps / 2.
+# affine(0, 1) has F(0) = 0, so its fields are signed zeros throughout,
+# -0.0 on layer 1 wherever the triangle increment is negative: at critical
+# damping the zero own-bottom term must still turn layer 2's -0.0 into
+# +0.0; at a = 32 (beta < 1/2) the term stays on every layer.
+# "points" is march_points with its linear twin on the window of the
+# POINTS_SHA256 pins, "qv" march_qv on [0, n]^2, both for 64 seeds, and
+# "window" march and march_split over noise.generate's arrays for one seed
+BRANCH_MODELS = {
+    "hyperbolic": (2.0, 0.25, 1.0, shifted_sine()),
+    "undamped": (0.0, 1.0, 1.0, shifted_sine()),
+    "theta 0.7": (1.0, 0.5, 0.7, shifted_sine()),
+    "sine(2, 0.5)": (1.0, 0.5, 1.0, shifted_sine(2.0, 0.5)),
+    "affine(0.3, 1)": (1.0, 0.5, 1.0, affine(0.3, 1.0)),
+    "affine(0, 1)": (1.0, 0.5, 1.0, affine(0.0, 1.0)),
+    "affine(0, 1), a 32": (32.0, 16.0, 1.0, affine(0.0, 1.0)),
+    "theta 2, F 1": (1.0, 0.5, 2.0, constant_one()),
+    "theta 2": (1.0, 0.5, 2.0, shifted_sine()),
+    "theta 32, F 1": (1.0, 0.5, 32.0, constant_one()),
+    "theta 32": (1.0, 0.5, 32.0, shifted_sine()),
+}
+BRANCH_SHA256 = {
+    ("points", "hyperbolic"):
+        "2955ec9c628523779b8cc07a3a61403aef1a28f26ea0f9315523981afdd2dd85",
+    ("points", "undamped"):
+        "6214a6dd225bf14b5e07159101618359743eec83bdeed29763b541cd6db6712e",
+    ("points", "theta 0.7"):
+        "656c6963803d0f6c1fbded04d43b6c3ea19a1ed78f0f7646c85e9ca4d1c65e55",
+    ("points", "sine(2, 0.5)"):
+        "11432343a170e265e095ab75a28c24e2f91bd09cb125746841f4a2fa4fae3be1",
+    ("points", "affine(0.3, 1)"):
+        "f50e2ff74d562415c717bde5604f58c79838a2fba393ab7b5722501c6b6a046b",
+    ("points", "affine(0, 1), a 32"):
+        "e0893250ce5b927fb5d403871720909d5afc688a1e612c417e5c8868ca17dd7a",
+    ("points", "affine(0, 1)"):
+        "7c6dfeb437e928f17e08649deb30c3ae6814f38b8d2f742020acefd3d65ce18f",
+    ("points", "theta 2, F 1"):
+        "9aa2feb096d11a1f5ede531cc4cb768b12ff56aec68cf204bca115076c68a8db",
+    ("points", "theta 2"):
+        "99c695298da9437151424324e7e02d700795c0c9488970334422fb7ad43446bc",
+    ("points", "theta 32, F 1"):
+        "b9d7a70c572a7148fbafe037bf9ae02ba6b44f37d9d412bbddabe4055924936b",
+    ("points", "theta 32"):
+        "68676378b6ef1759be5ab0e4ef22ed9cc9e63d0278ece9eeb49b56cc80759178",
+    ("qv", "hyperbolic"):
+        "cf020a59869f41b5163920bcdf0a003bbec3eaa873cacb9b8bf1fa34db3dca6e",
+    ("qv", "undamped"):
+        "2630e4016f3b0ef69b0d8ced5a3d7f6b701101d5cb2f0df02bca1625e71963a3",
+    ("qv", "theta 0.7"):
+        "6a0f43fbb31b1cfdf45bc9e3dd582d88baa43486431a52c8c5adbe009b99b53a",
+    ("qv", "sine(2, 0.5)"):
+        "f80dde676c5710d6810d60c06d467be1817757355a2abe45a611e1f5eb7e09e7",
+    ("qv", "affine(0.3, 1)"):
+        "339a3204da650020b8b913e05ba5fc5101d02fe3c586d9b51e57f7d1c77c35ab",
+    ("qv", "affine(0, 1), a 32"):
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    ("qv", "affine(0, 1)"):
+        "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    ("qv", "theta 2, F 1"):
+        "015a96b34123610cb077930d696c5ebb595de3e20a113b195026de906eb05283",
+    ("qv", "theta 2"):
+        "2274fc3f503f0f9128ac19ddf690b5c6d389dfeec6fde7ef8bc7ad98889d64bc",
+    ("qv", "theta 32, F 1"):
+        "591fec76cccdf965451215bee326b362fc5a2358d8a8d71a62432f71288b204c",
+    ("qv", "theta 32"):
+        "2df75dc0ed3b94425f50c458336e95b81157f0f2e0700e4c794335909c8b11f3",
+    ("window", "hyperbolic"):
+        "a96b654fa50adc0c3ac068fc277868c011d106933fdcd3bb48c501f28151ce87",
+    ("window", "undamped"):
+        "c1a908bcec95c0be4f2a55cd4a5e4da6f8cf55abf6c6dd87dd29f2f95fbddf60",
+    ("window", "theta 0.7"):
+        "f111ccca52fa57be50428918e7142120477fe41072b46a7df0eb0537708537ac",
+    ("window", "sine(2, 0.5)"):
+        "1f03ab432e684e5133e79a4af9a3569c3754e6df736bdfdb45e4ec0ea5a0a1ca",
+    ("window", "affine(0.3, 1)"):
+        "c8d811a54b56f9a3a3b07ee73ed6168107079f72a17ffabfdb4157d416210e8f",
+    ("window", "affine(0, 1), a 32"):
+        "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
+    ("window", "affine(0, 1)"):
+        "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
+    ("window", "theta 2, F 1"):
+        "bd4ab9c4a24dbc9209571aafba58519a3751634a91e978d541f5b2e2698476fc",
+    ("window", "theta 2"):
+        "8aca25ca46e836f1ff797c482e4ad1cf35b8a9cc9e3f28ae5096bb143b73a715",
+    ("window", "theta 32, F 1"):
+        "54e0abc7e7f3d7beafd599772b1ec0746bd4af6ca33241a8a21191c779480e2c",
+    ("window", "theta 32"):
+        "c14d32485c9cbadcf5853edc233e0343074a9d4b22afb1d88157828268f7ba06",
+}
+
+
+def branch_rows(kernel, model, n=16):
+    a, m, theta, F = model
+    coef = (F.fid, F.p0, F.p1, F(0.0))
+    seeds = ROW_SEEDS[:64]
+    if kernel == "points":
+        grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 3)
+        pts_i, pts_j = window_points(grid)
+        keep = (pts_i + pts_j <= 2) | ((3 * pts_i + pts_j) % 13 == 0)
+        window = (grid.shape[0], grid.i_min, grid.eps, a, m, theta, *coef,
+                  pts_i[keep], pts_j[keep])
+        return _kernels.march_points(seeds, *window, coarser=[twin(window)])
+    if kernel == "qv":
+        return _kernels.march_qv(seeds, n, theta, *coef, a, m)
+    nf = noise.generate(RotatedGrid(n), int(seeds[0]))
+    params = PhysParams(a=a, m=m, theta=theta, diffusion_id=F.id)
+    fields = (march(params, F, nf), *march_split(params, F, nf))
+    return np.stack([f.values for f in fields])
+
+
+@pytest.mark.parametrize("kernel,model", sorted(BRANCH_SHA256))
+def test_branch_rows_match_recorded(kernel, model):
+    skip_unless_recorded_numpy("test_march_points_matches_window_march (bit for bit, n=8)")
+    out = branch_rows(kernel, BRANCH_MODELS[model])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == BRANCH_SHA256[kernel, model]

@@ -52,7 +52,7 @@ def impl_pairs(sig, q, kind, seeds):
     seeds = np.asarray(seeds, dtype=np.uint64)
     q = np.asarray(q, dtype=np.int64).reshape(-1, 1)
     noise = _kernels._LayerNoise(seeds, 2 * q.shape[0])
-    return noise.blocks(sig, q, kind).copy()
+    return noise.blocks(sig, noise.counter_words(q, kind), kind).copy()
 
 
 def impl_gauss(i, j, kind, seed):
@@ -144,6 +144,25 @@ def test_pair_and_parity_consistency():
             rect = _kernels.lattice_normals(ic0, 3 - ic0 - 11, (12, 12), 0, int(seed))
             want = np.ascontiguousarray(np.fliplr(rect).diagonal())
             assert z[:, r].tobytes() == want.tobytes()
+
+
+@given(st.integers(-(2**30), 2**30), st.integers(2, 40), st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tabled_layer_draws_equal_the_blocks(h, L0, seed):
+    # the replication kernels draw layers 2 .. L0-1 of their widest window
+    # from counter words computed once per chunk; every layer must be the
+    # draw whose words blocks gets computed on the spot, whichever parity
+    # the window's first row has
+    seeds = np.array([0, 2**64 - 1, seed], dtype=np.uint64)
+    for i0 in (2 * h, 2 * h + 1):
+        tabled = _kernels._LayerNoise(seeds, L0 - 1)
+        alone = _kernels._LayerNoise(seeds, L0 - 1)
+        s = 1
+        for s, z in enumerate(tabled.layers(i0, L0), start=2):
+            want = alone.draw(s - 2, i0 + s - 1, L0 - s, 0)
+            assert z.shape == (L0 - s, 3)
+            assert z.tobytes() == want.tobytes()
+        assert s == max(1, L0 - 1)
 
 
 class TestFills:
