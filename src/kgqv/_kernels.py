@@ -55,7 +55,16 @@ either way.
 Noise convention: the standard normal attached to lattice index (i, j)
 and stream `kind` comes from the Philox4x32-10 block with counter
 ((i + j) + 2^31, (i >> 1) + 2^31, kind, 0) and key (seed_lo, seed_hi);
-the block's two Box-Muller outputs are split by the parity of i.  The
+the block's two Box-Muller outputs are split by the parity of i.  Box-
+Muller takes the 53-bit words u = x0 x1 >> 11 and k = x2 x3 >> 11 of
+the block's halves to rad = sqrt(-2 log((u + 1) 2^-53)) and the angle
+k 2^-53 2 pi, whose cosine and sine come from IEEE arithmetic, not from
+libm: with q = (k + 2^50) >> 51 the nearest quadrant and x = (k - q
+2^51) (2^-53 2 pi) in [-pi/4, pi/4], Taylor cos x to x^16 and sin x to
+x^15 (sin x / x to x^14) by Horner in x^2, rotated by q on the float
+bits (swapped where q is odd; cos negated where q is 1 or 2, sin where
+q is 2 or 3), each within 1e-15 of libm's.  The normals then depend on
+numpy's log and sqrt besides IEEE multiply, add and bit operations.  The
 value is a pure function of (seed, i, j, kind).  Keying by
 (anti-diagonal, i >> 1) lets the replication kernels, which consume the
 cells of one anti-diagonal in increasing i, use both outputs of almost
@@ -108,10 +117,22 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _ONE = np.uint64(1)
-# the stacked rounds' multipliers [PM0, PM1], and the Box-Muller scales
-# [2^-53, 2^-53 2 pi] of the 53-bit halves
+_SH51 = np.uint64(51)
+_SH63 = np.uint64(63)
+# the stacked rounds' multipliers [PM0, PM1]
 _PM = np.array([_PM0, _PM1])[:, None, None]
-_BM_SCALE = np.array([2.0**-53, 2.0**-53 * (2.0 * math.pi)])[:, None, None]
+# Box-Muller's scales of the 53-bit words: the uniform's 2^-53 and the
+# angle's 2^-53 2 pi
+_U_SCALE = 2.0**-53
+_ANG_SCALE = 2.0**-53 * (2.0 * math.pi)
+_HALF_QUADRANT = np.uint64(2**50)  # the angle word of pi/4
+# Taylor coefficients of [cos x, sin(x)/x] in x^2, highest first: cos to
+# x^16 and sin/x to x^14 (its x^16 entry is 0), as a stacked (2, 1, 1) row
+# per Horner step
+_TRIG_POLY = np.array(
+    [[(-1) ** j / math.factorial(2 * j), (-1) ** j / math.factorial(2 * j + 1) if j < 8 else 0.0]
+     for j in range(8, -1, -1)]
+)[:, :, None, None]
 _IOFF = 2147483648  # 2^31 recentres signed lattice indices into u32
 _IMASK = 4294967295
 _SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys
@@ -183,6 +204,50 @@ def _f_eval_np(fid, p0, p1, x, out=None):
 # noise
 
 
+def _unit_circle(out, q, k, x):
+    """[cos, sin] of the 53-bit angle words k, as the float64 view of `out`.
+
+    The map of the module docstring: the quadrant q and the remainder
+    exact in integers, the remainder's angle x rounded once, Taylor
+    cos x and sin x / x by Horner in x^2 as one stacked pass, then the
+    rotation by q on the float bits (q = 4 is q = 0).  `out` is a
+    (2, ...) uint64 block, and q, k and x uint64 blocks of k's shape, all
+    scratch: q takes the quadrants, k the remainders, then x^2 and a
+    temporary, x the remainders' angles and then a mask.
+    """
+    x1, x3 = out
+    np.add(k, _HALF_QUADRANT, out=q)
+    q >>= _SH51
+    np.left_shift(q, _SH51, out=x1)
+    k -= x1
+    xf = x.view(np.float64)
+    np.multiply(k.view(np.int64), _ANG_SCALE, out=xf)
+    xx = k.view(np.float64)
+    np.multiply(xf, xf, out=xx)
+    trig = out.view(np.float64)
+    np.multiply(xx, _TRIG_POLY[0], out=trig)
+    trig += _TRIG_POLY[1]
+    for c in _TRIG_POLY[2:]:
+        trig *= xx
+        trig += c
+    trig[1] *= xf
+    # where q is odd, sin x changes sign and the words swap, by a masked
+    # xor whose mask is q's low bit spread by an arithmetic shift; then
+    # both change sign where q is 2 or 3.  So cos changes sign where q is
+    # 1 or 2 and sin where q is 2 or 3, as the swap then the flips would
+    np.left_shift(q, _SH63, out=x)
+    x3 ^= x
+    signed = x.view(np.int64)
+    signed >>= 63
+    np.bitwise_xor(x1, x3, out=k)
+    k &= x
+    out ^= k
+    np.right_shift(q, _ONE, out=k)
+    k <<= _SH63
+    out ^= k
+    return trig
+
+
 class _LayerNoise:
     """Philox blocks and their normals for a chunk of replications.
 
@@ -201,9 +266,10 @@ class _LayerNoise:
     constant along one axis until round four; those stay at their
     smaller shapes and cost no full pass.
     Box-Muller runs in the memory of the words it has used up: the
-    uniforms in T, the trig values in Lo and the (P, 2, R) normals in
-    H, so what blocks and draw return is a view of the scratch, to be
-    read before the next call.
+    radii in T, the trig values in Lo (_unit_circle's scratch is x0, x2
+    and T's second half) and the (P, 2, R) normals in H, so what blocks
+    and draw return is a view of the scratch, to be read before the
+    next call.
     """
 
     def __init__(self, seeds, max_count):
@@ -291,21 +357,18 @@ class _LayerNoise:
             H ^= key
             np.bitwise_and(T[::-1], _MASK32, out=Lo)
         # Box-Muller on the 53-bit halves [x0 x1, x2 x3]: u1 = (k + 1)
-        # 2^-53 in (0, 1] keeps the log finite, and the angle is
-        # k (2^-53 2 pi), equal to (k 2^-53) 2 pi since k 2^-53 is exact
+        # 2^-53 in (0, 1] keeps the log finite
         H <<= _SH32
         H |= Lo
         H >>= _SH11
         x0 += _ONE
-        U = T.view(np.float64)
-        np.multiply(H, _BM_SCALE, out=U)
-        rad, ang = U
+        rad = T[0].view(np.float64)
+        np.multiply(x0, _U_SCALE, out=rad)
         np.log(rad, out=rad)
         rad *= -2.0
         np.sqrt(rad, out=rad)
-        trig = Lo.view(np.float64)
-        np.cos(ang, out=trig[0])
-        np.sin(ang, out=trig[1])
+        # cos and sin of the angle words x2, in Lo's memory
+        trig = _unit_circle(Lo, x0, x2, T[1])
         # the normals go to H's memory pair by pair, so that the 2P cells
         # of P pairs are 2P contiguous rows
         z = H.view(np.float64).reshape(P, 2, self.reps)

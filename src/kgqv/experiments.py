@@ -114,6 +114,8 @@ class ExperimentReport:
     wall_time_s: float
     version: str
     config: dict
+    # the values of the keys the experiment reads, defaults filled in
+    resolved: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -703,6 +705,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         wall_time_s=time.perf_counter() - t0,
         version=__version__,
         config=echo,
+        resolved={k: settings[k] for k in _KEYS if k in settings},
     )
 
 
@@ -717,9 +720,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(report: ExperimentReport, path) -> None:
-    """Rows under '#' comment lines; bytes depend only on config and seed."""
+    """Rows under '#' comment lines; bytes depend only on config and seed.
+
+    The config line echoes the value of every key the experiment read.
+    """
+    keys = {"experiment": report.experiment, **report.resolved, "seed": report.seed}
     echo = " ".join(
-        f"{k}={'default' if v is None else v}" for k, v in report.config.items()
+        f"{k}={','.join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)}"
+        for k, v in keys.items()
     )
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment: {report.experiment}\n")

@@ -3,8 +3,12 @@ report serialization.  Statistical verdicts live in test_acceptance."""
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,11 @@ from kgqv.coords import RotatedGrid
 from kgqv.errors import NumericError, UsageError
 from kgqv.experiments import ExperimentConfig, ExperimentReport
 
-from test_noise import skip_unless_recorded_numpy
+from test_noise import (
+    dispatch_skip_reason,
+    skip_unless_recorded_noise,
+    skip_unless_recorded_numpy,
+)
 
 
 def report_stub(**over):
@@ -383,37 +391,37 @@ RECORDED_LIBM = ("glibc", "2.36", "x86_64")
 LIBM_EXPERIMENTS = ("green_identities", "kernel_lemma")
 RUN_SHA256 = {
     ("green_identities",): (
-        "97e4e595302d2ed788fd9eb21f2d4286aad782a2d7607e2e0665b9ee492fb84b",
+        "a4e28d3d021d19ee3b5ee7fe6b58adaeab2f65613585bb2fb9ad1a8c33b2471e",
         "64612134ccc2fc20a8127323b81dc162a47eb11459ec939a0923bc364b6eea9e",
     ),
     ("linear_variance", "--n", "64", "--reps", "500"): (
-        "dd13fcb3c08d9a52baf391b168d3cd87d826a8a622bd5bd16b8383af931a1449",
-        "3ed65a0c2833c29fdb17ac191957a5ed4483c3a1e5a385d461972fdfe21f8eb6",
+        "b3e52dbef321dd1bf4b7e2d3c74a8886583d130f5d2b2b72288d9bbf1d631f4b",
+        "a9ccb98c0a1ed219cb7f1f868ddc71624fe0506a46b8c0649bafa08787c3a55a",
     ),
     ("remainder_rate", "--n", "128", "--reps", "100"): (
-        "7b36297c8757144dd85076442a541d7afcec1f9788fd4e8723cc420b440a3bd1",
-        "c870c3bd6e199f139ac2add95533043458d150c30d4a0baff16ec3f42d6bc369",
+        "c3ee569ecb844af16837bc073ca33573d908434fd29a716c806e502bab0f093c",
+        "2c47a061a8867a8dfb36f4bb96e615d96fd7708a662508d9ecd8b286e9594f21",
     ),
     # at the default reps (500 linear, 200 nonlinear) the seeds from 200 on
     # march the linear part alone
     ("quadvar_rate", "--n", "256"): (
-        "893f50313c4487d1a936b70495caedd3e5e8fc98f743c7ca428d44e900c10a1d",
-        "a64669725d5791f6e666c3c3af44b4d028caffb562ec778a2e2773cdff57c29f",
+        "3b1f052d73bcea7e26f4ed167f66a602e66e6515bd8ad1a1db96ce3150f3fdbc",
+        "765adae57d2023255016dd9a4085603d1ff840d3aefe03dbd6821d7378a0261f",
     ),
     ("quadvar_rate", "--n", "256", "--reps", "100"): (
-        "63035d1437c3973792082e638545f229ffb6b73095ccae3a5f769b1d95c9af9a",
-        "be192e4c837862f0d2c40df1f791507dd40eb6c109f0f8153b344059c5be4240",
+        "b06559c5bba1d16b1372936f88528029af0decb3ea41aa857e0260c545fcb9e4",
+        "1d2aa998b0f6226cf21861915df11743731db66cd1015756b0a045d47e1da93b",
     ),
     ("estimator_consistency", "--n", "128", "--reps", "100"): (
-        "420c5b3b99adce69adc9bb57782faeebe716a1426c6941ef9027fc33b1661f72",
-        "e0d8ed6eb7725d9760d3fa8b7c6fd587810933313efe5796f52bde3b21c4665e",
+        "5b793e1ef12071f381eb4327fe8e06550e042dae44cd19d60f4c93a591db3f42",
+        "2ff80d5f7404ee1e4633d7c7a758a1a541f5b36c12e948b273a5511b3b77542d",
     ),
     ("oracle_check", "--reps", "2"): (
-        "6ddca5539e1e2512dc362cb49ad22ac9a1823c8324f639589643a1d6c779dfe7",
-        "e8c6effb7fdfd057723afe561d7f930444e172c662219b836bc86d41b8f3e51b",
+        "95ac4f2e42c27f710e01b8fdfba7d3c397619e0716e8d080965a27319270bb35",
+        "fc9c5868838b8c5bc1715ba38a4014086c1a8f50445dfa375d70e7742db10ee6",
     ),
     ("kernel_lemma", "--n", "64"): (
-        "db25f3cc872b42e109235080b404e805aabc72ea90d209270472290a6c204f96",
+        "65443396f74357543df7e907babf8c16c79e0d97b5dac65df3f6b5aebdfc3abf",
         "85c55ac22ee4e041c8aa38e19f58887d99b55a5e12eb8ed95741030e9107c183",
     ),
 }
@@ -439,8 +447,10 @@ class TestRecordedBytes:
                     f"hashes recorded with {' '.join(RECORDED_LIBM)}, running "
                     f"{' '.join(libm)}: only {CHECKED_INSTEAD[exp]} checked the values"
                 )
-        if exp != "green_identities":
+        if exp == "kernel_lemma":  # draws no noise
             skip_unless_recorded_numpy(CHECKED_INSTEAD[exp])
+        elif exp != "green_identities":
+            skip_unless_recorded_noise(CHECKED_INSTEAD[exp])
         rc = cli.main(["run", "--experiment", *args, "--out", str(tmp_path)])
         assert rc in (0, 1)
         summary = json.loads(capsys.readouterr().out)
@@ -451,3 +461,20 @@ class TestRecordedBytes:
             hashlib.sha256(text.encode()).hexdigest(),
         )
         assert got == RUN_SHA256[args]
+
+    def test_run_pin_skips_off_the_recorded_log_dispatch(self):
+        # with AVX-512 switched off numpy runs log on its X86_V3 (AVX2)
+        # loop, whose bytes differ: a noise pin must skip and say what
+        # checked the values instead
+        skip_unless_recorded_numpy(CHECKED_INSTEAD["linear_variance"])
+        node = ("tests/test_experiments.py::TestRecordedBytes::"
+                "test_run_bytes_match_recorded[linear_variance --n 64 --reps 500]")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        r = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider", node],
+            cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert "1 skipped" in r.stdout
+        reason = dispatch_skip_reason("X86_V3", CHECKED_INSTEAD["linear_variance"])
+        assert reason in r.stdout

@@ -25,7 +25,7 @@ from kgqv.solver import (
     affine, clipped_linear, constant_one, march, march_linear, march_split, shifted_sine,
 )
 
-from test_noise import skip_unless_recorded_numpy
+from test_noise import skip_unless_recorded_noise
 
 SEEDS = np.array([2**32 + 7, 2**40 + 123, 2**63 + 5, 2**64 - 2], dtype=np.uint64)
 
@@ -322,22 +322,22 @@ def test_blown_up_marches_raise_numeric_error():
 # 1, and march_qv on the full [0, N]^2 window
 ROW_SEEDS = np.uint64(2**40 + 11) + np.arange(300, dtype=np.uint64)
 POINTS_SHA256 = {
-    (16, False): "d0c4cccaa206715d67fb7013fffabda0036780fc4ece355af0b947ce1e840502",
-    (16, True): "ea6126c51583aa62dbf2b5ac817c7a79b539afe893eff502b9b7adfa5f577443",
-    (64, False): "824246eee1119fdaf1584fbfd501ab2bf6a30d5d4c6ffc4f30d10d6d495167ef",
-    (64, True): "83d6d2e1ca895150d0e602d7dd017dd808a43aa645e575bc7aac02275ebbb891",
+    (16, False): "f5718f865ff605f9f39cb8e0fdd146111194b17572032088be67080df2d7a3e8",
+    (16, True): "fbffc86557fb066cdeff47870f1c04007e7e5343e64944451e834490429e3950",
+    (64, False): "fae331d78e110777e29d0167390e8c78163ec3fd8268257f0ff88907c4f4f768",
+    (64, True): "3a39b0886f22d6bd32219b4f8a65dc2f251432870b24f090942bae1be97ab036",
 }
 QV_SHA256 = {
-    (16, "shifted_sine"): "7afbe930e34b56549aa30c2223d9c802f0100b3fc8bccac28670e7a817371ca0",
-    (16, "constant_one"): "843eaa3afd1a0adcb250b3cd9df75b5fbf1d9e4e061726782eee9d4fcb52a5dd",
-    (64, "shifted_sine"): "b7a4577fd64da42499c3892cc8efae1ed6eebf802b10823fa9eb641733dcd585",
-    (64, "constant_one"): "64c6a70fa2e68cfef5e563cd8e73ff1f834561aadc363bdb05338aeba505dc90",
+    (16, "shifted_sine"): "611a741fc84f5a270736b74b4f4d6b98b24053eaceb6bd3cb3b73d9bbe5ba1c2",
+    (16, "constant_one"): "abc55de73daef69932a0368c7fd18a9d044c9db797e6375e8b8138f51aa0ae76",
+    (64, "shifted_sine"): "08c267d9a1946f991e034a41aa5d2764ef84cf5c8c69fb19c8964ab882c8e2d4",
+    (64, "constant_one"): "fb5216d2e6066bc5a0d341ffd0bff1577f3eb20641b9fb2a6638e2e5fba869ca",
 }
 
 
 @pytest.mark.parametrize("n,coupled", sorted(POINTS_SHA256))
 def test_march_points_rows_match_recorded(n, coupled):
-    skip_unless_recorded_numpy("test_march_points_matches_window_march (bit for bit, n=8)")
+    skip_unless_recorded_noise("test_march_points_matches_window_march (bit for bit, n=8)")
     F = shifted_sine()
     grid = RotatedGrid(n, i_max=n // 2 + 1, j_max=n // 2 + 3)
     pts_i, pts_j = window_points(grid)
@@ -355,7 +355,7 @@ def test_march_points_rows_match_recorded(n, coupled):
 
 @pytest.mark.parametrize("N,F", sorted(QV_SHA256))
 def test_march_qv_rows_match_recorded(N, F):
-    skip_unless_recorded_numpy("test_march_qv_matches_window_reductions (bit for bit, N=4 and 16)")
+    skip_unless_recorded_noise("test_march_qv_matches_window_reductions (bit for bit, N=4 and 16)")
     F = {"shifted_sine": shifted_sine, "constant_one": constant_one}[F]()
     out = _kernels.march_qv(ROW_SEEDS, N, 2.0, F.fid, F.p0, F.p1, F(0.0), 1.0, 0.5)
     assert hashlib.sha256(out.tobytes()).hexdigest() == QV_SHA256[N, F.id]
@@ -388,71 +388,71 @@ BRANCH_MODELS = {
 }
 BRANCH_SHA256 = {
     ("points", "hyperbolic"):
-        "2955ec9c628523779b8cc07a3a61403aef1a28f26ea0f9315523981afdd2dd85",
+        "017d125fdab6d0eabaf18a296f106fce16f69600ec736082e71b2df225e53b03",
     ("points", "undamped"):
-        "6214a6dd225bf14b5e07159101618359743eec83bdeed29763b541cd6db6712e",
+        "371f751f9d99030dc3d46ed741882f10b823c6b62780fb456595a76438d8ac17",
     ("points", "theta 0.7"):
-        "656c6963803d0f6c1fbded04d43b6c3ea19a1ed78f0f7646c85e9ca4d1c65e55",
+        "8120ce7cbbafd017fa52d5861a6ceaacb3ffba0d95982e719cb9835462f3aa9a",
     ("points", "sine(2, 0.5)"):
-        "11432343a170e265e095ab75a28c24e2f91bd09cb125746841f4a2fa4fae3be1",
+        "8de92a07fdefcf914a5e0286365f3a8e70e1802b15caa651f88b871b063b98cb",
     ("points", "affine(0.3, 1)"):
-        "f50e2ff74d562415c717bde5604f58c79838a2fba393ab7b5722501c6b6a046b",
+        "6340b6db7e4120ed597784741fd2a8b6b88931ad509007567b433f38f05d6248",
     ("points", "affine(0, 1), a 32"):
-        "e0893250ce5b927fb5d403871720909d5afc688a1e612c417e5c8868ca17dd7a",
+        "7fc319c7ff425cbce0cc46d3f362ef390ea914789e30b13b272a14d0ed6e85b6",
     ("points", "affine(0, 1)"):
-        "7c6dfeb437e928f17e08649deb30c3ae6814f38b8d2f742020acefd3d65ce18f",
+        "a52d1f987178e0025baee21f639663becccb6fc7dd6792fce78e0ed776625b48",
     ("points", "theta 2, F 1"):
-        "9aa2feb096d11a1f5ede531cc4cb768b12ff56aec68cf204bca115076c68a8db",
+        "697e11f1157a7dcd157a0cb856fabead07378a5af0f798e700d635207888c8e4",
     ("points", "theta 2"):
-        "99c695298da9437151424324e7e02d700795c0c9488970334422fb7ad43446bc",
+        "47e6328ebec6f2680a03ee8dcc9e29cc5a4e4f07444b6af255e3560bc3d7b522",
     ("points", "theta 32, F 1"):
-        "b9d7a70c572a7148fbafe037bf9ae02ba6b44f37d9d412bbddabe4055924936b",
+        "f1f32b0afd2da753bc71155732f8079a7aaeefaca360d684924a6bb234114d78",
     ("points", "theta 32"):
-        "68676378b6ef1759be5ab0e4ef22ed9cc9e63d0278ece9eeb49b56cc80759178",
+        "bacd568006e857026da7396b0f1e50ba0fea3d0b7a7f6fddfd9bf2d81ceccc67",
     ("qv", "hyperbolic"):
-        "cf020a59869f41b5163920bcdf0a003bbec3eaa873cacb9b8bf1fa34db3dca6e",
+        "bdae2e6b6d4c85393008ae4c1b0bcdf4db4d68f6680803a6589d113fbbb1c04f",
     ("qv", "undamped"):
-        "2630e4016f3b0ef69b0d8ced5a3d7f6b701101d5cb2f0df02bca1625e71963a3",
+        "49d95ab23481bdef2942f66f43197c0e213e3da9421d3e6b0e5a3837e1d40aa6",
     ("qv", "theta 0.7"):
-        "6a0f43fbb31b1cfdf45bc9e3dd582d88baa43486431a52c8c5adbe009b99b53a",
+        "afc13fb5f960fab2c784d43056046755086f2d5b17b86bb275bf8b4ced6f8977",
     ("qv", "sine(2, 0.5)"):
-        "f80dde676c5710d6810d60c06d467be1817757355a2abe45a611e1f5eb7e09e7",
+        "33983f1ea40dbfc0139d418765772eb18fa83146ef8c79f318119c0654339f05",
     ("qv", "affine(0.3, 1)"):
-        "339a3204da650020b8b913e05ba5fc5101d02fe3c586d9b51e57f7d1c77c35ab",
+        "1ef99236c19924556d809ec07bbdd6c796fa86b04484b6eb2ef77bb43e92dafd",
     ("qv", "affine(0, 1), a 32"):
         "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
     ("qv", "affine(0, 1)"):
         "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
     ("qv", "theta 2, F 1"):
-        "015a96b34123610cb077930d696c5ebb595de3e20a113b195026de906eb05283",
+        "1182ae3fd749fbeea79c48456fd5d30743be4d3276b22ba3a6ca331d2c0f52cc",
     ("qv", "theta 2"):
-        "2274fc3f503f0f9128ac19ddf690b5c6d389dfeec6fde7ef8bc7ad98889d64bc",
+        "797929c29800d382cc4e49045363b4494162e4b2a725d1b36f16d403167d0e73",
     ("qv", "theta 32, F 1"):
-        "591fec76cccdf965451215bee326b362fc5a2358d8a8d71a62432f71288b204c",
+        "e1b9019472b8fe56eb030c65dd34ed692bdf917fa43f339be21d274c0dc8cec9",
     ("qv", "theta 32"):
-        "2df75dc0ed3b94425f50c458336e95b81157f0f2e0700e4c794335909c8b11f3",
+        "4e4d2df354ae7f62e9bc4c58a142d806841db991f4bd63f0b80f8f53127f645a",
     ("window", "hyperbolic"):
-        "a96b654fa50adc0c3ac068fc277868c011d106933fdcd3bb48c501f28151ce87",
+        "5271011bbc43c425dab338fc5bb7554000dbef22ec9debe464335a60672acfad",
     ("window", "undamped"):
-        "c1a908bcec95c0be4f2a55cd4a5e4da6f8cf55abf6c6dd87dd29f2f95fbddf60",
+        "0b96a8db7ccabd23df9bccfc2e40525b4b253f40435866f5fc257ce4d523e221",
     ("window", "theta 0.7"):
-        "f111ccca52fa57be50428918e7142120477fe41072b46a7df0eb0537708537ac",
+        "fdc47f9515e3602df1b97eddf938178245afb8e909c764d6bd824767ddc50a50",
     ("window", "sine(2, 0.5)"):
-        "1f03ab432e684e5133e79a4af9a3569c3754e6df736bdfdb45e4ec0ea5a0a1ca",
+        "a41a0dd59080d612fc26799a2b4097de537cf533213d098630b244cd5fe1c2db",
     ("window", "affine(0.3, 1)"):
-        "c8d811a54b56f9a3a3b07ee73ed6168107079f72a17ffabfdb4157d416210e8f",
+        "3eaf1bf34b15992c8b49ff65567b8ea93dc70ca30ee12569a4ae2d18aba7ebb5",
     ("window", "affine(0, 1), a 32"):
         "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
     ("window", "affine(0, 1)"):
         "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
     ("window", "theta 2, F 1"):
-        "bd4ab9c4a24dbc9209571aafba58519a3751634a91e978d541f5b2e2698476fc",
+        "8cfaa3c84ef10c9614ddd726d535a74401f8dda89d6877aa0fb42a603357b77f",
     ("window", "theta 2"):
-        "8aca25ca46e836f1ff797c482e4ad1cf35b8a9cc9e3f28ae5096bb143b73a715",
+        "482886636ed01895fe9fb06c255e360072f008acb9a63285d86d140763a277ad",
     ("window", "theta 32, F 1"):
-        "54e0abc7e7f3d7beafd599772b1ec0746bd4af6ca33241a8a21191c779480e2c",
+        "9445572de233215e3cca0d5eef1cf1f1374b9c042aa3d5cac8e4e659dbda3e42",
     ("window", "theta 32"):
-        "c14d32485c9cbadcf5853edc233e0343074a9d4b22afb1d88157828268f7ba06",
+        "1b94e3521c180067fbf2d42017bc61a2ea5fe49de7912365c0f7bc32beb61826",
 }
 
 
@@ -477,6 +477,6 @@ def branch_rows(kernel, model, n=16):
 
 @pytest.mark.parametrize("kernel,model", sorted(BRANCH_SHA256))
 def test_branch_rows_match_recorded(kernel, model):
-    skip_unless_recorded_numpy("test_march_points_matches_window_march (bit for bit, n=8)")
+    skip_unless_recorded_noise("test_march_points_matches_window_march (bit for bit, n=8)")
     out = branch_rows(kernel, BRANCH_MODELS[model])
     assert hashlib.sha256(out.tobytes()).hexdigest() == BRANCH_SHA256[kernel, model]

@@ -1,6 +1,7 @@
 """Counter-based generator: known answers, reference port, and fills."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,14 +31,53 @@ def ref_block(ctr, key):
     return tuple(c)
 
 
+# Taylor coefficients of cos x and of sin(x)/x in x^2, highest first, each
+# correctly rounded from its exact rational: cos to x^16, sin/x to x^14
+COS_POLY = [(-1) ** j / math.factorial(2 * j) for j in range(8, -1, -1)]
+SIN_POLY = [0.0] + [(-1) ** j / math.factorial(2 * j + 1) for j in range(7, -1, -1)]
+ANG_SCALE = 2.0**-53 * (2.0 * math.pi)
+
+
+def float_bits(v):
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+def bits_float(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+def ref_trig(k):
+    # cos and sin of the angle word k < 2^53, the angle k 2^-53 2 pi taken
+    # as q pi/2 + x with the draw's operations in the draw's order: the
+    # nearest quadrant q and the remainder in integers, Horner in x^2 from
+    # x^2 times the top coefficient, then the swap and sign flips on the bits
+    q = (k + 2**50) >> 51
+    x = (k - (q << 51)) * ANG_SCALE
+    xx = x * x
+    c = xx * COS_POLY[0] + COS_POLY[1]
+    s = xx * SIN_POLY[0] + SIN_POLY[1]
+    for a, b in zip(COS_POLY[2:], SIN_POLY[2:]):
+        c = c * xx + a
+        s = s * xx + b
+    cb, sb = float_bits(c), float_bits(s * x)
+    if q & 1:
+        cb, sb = sb, cb
+    cb ^= (((q + 1) >> 1) & 1) << 63
+    sb ^= ((q >> 1) & 1) << 63
+    return bits_float(cb), bits_float(sb)
+
+
+def block_words(r):
+    # the 53-bit Box-Muller words of a block: the log's (+1) and the angle's
+    return (((r[0] << 32) | r[1]) >> 11) + 1, ((r[2] << 32) | r[3]) >> 11
+
+
 def ref_pair(r):
     # rad*cos (even i) and rad*sin (odd i) of a block's words r
-    hi = (r[0] << 32) | r[1]
-    lo = (r[2] << 32) | r[3]
-    u1 = ((hi >> 11) + 1) * 2.0**-53
-    u2 = (lo >> 11) * 2.0**-53
-    rad = math.sqrt(-2.0 * math.log(u1))
-    return rad * math.cos(2.0 * math.pi * u2), rad * math.sin(2.0 * math.pi * u2)
+    u, k = block_words(r)
+    rad = math.sqrt(-2.0 * math.log(u * 2.0**-53))
+    cos, sin = ref_trig(k)
+    return rad * cos, rad * sin
 
 
 def ref_gauss(i, j, kind, seed):
@@ -60,13 +100,11 @@ def impl_gauss(i, j, kind, seed):
 
 
 def np_pair(r):
-    # ref_pair with numpy's log, cos and sin, as _LayerNoise takes them
-    hi = (r[0] << 32) | r[1]
-    lo = (r[2] << 32) | r[3]
-    u1 = np.array([((hi >> 11) + 1) * 2.0**-53])
-    ang = np.array([(lo >> 11) * 2.0**-53]) * (2.0 * math.pi)
-    rad = np.sqrt(np.log(u1) * -2.0)
-    return (rad * np.cos(ang))[0], (rad * np.sin(ang))[0]
+    # ref_pair with numpy's log, as _LayerNoise takes it
+    u, k = block_words(r)
+    rad = np.sqrt(np.log(np.array([u * 2.0**-53])) * -2.0)[0]
+    cos, sin = ref_trig(k)
+    return rad * cos, rad * sin
 
 
 class TestKnownAnswers:
@@ -98,8 +136,9 @@ class TestKnownAnswers:
 def test_block_matches_reference(sig, q, kind, seed):
     got = impl_pairs(sig, [q], kind, [seed])[0, :, 0]
     key = (seed & U32, seed >> 32)
-    want = ref_pair(ref_block(((sig + 2**31) & U32, (q + 2**31) & U32, kind, 0), key))
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+    r = ref_block(((sig + 2**31) & U32, (q + 2**31) & U32, kind, 0), key)
+    assert tuple(got) == np_pair(r)
+    assert got == pytest.approx(ref_pair(r), rel=1e-12, abs=1e-300)
 
 
 def test_array_rounds_match_reference():
@@ -113,8 +152,7 @@ def test_array_rounds_match_reference():
     for p in range(64):
         ctr = ((int(sig[p, 0]) + 2**31) & U32, (int(q[p]) + 2**31) & U32, 1, 0)
         for r, seed in enumerate(seeds):
-            want = ref_pair(ref_block(ctr, (seed & U32, seed >> 32)))
-            assert tuple(got[p, :, r]) == pytest.approx(want, rel=1e-12)
+            assert tuple(got[p, :, r]) == np_pair(ref_block(ctr, (seed & U32, seed >> 32)))
 
 
 @given(
@@ -163,6 +201,46 @@ def test_tabled_layer_draws_equal_the_blocks(h, L0, seed):
             assert z.shape == (L0 - s, 3)
             assert z.tobytes() == want.tobytes()
         assert s == max(1, L0 - 1)
+
+
+# angle words at and beside the quadrant boundaries pi/4, 3 pi/4 and 5 pi/4
+# (2^50, 2^51 + 2^50 = 3 2^50 ... ), at the quadrant centres and the ends
+EDGE_WORDS = [0, 2**50 - 1, 2**50, 2**50 + 1, 2**51 - 1, 2**51, 2**51 + 1,
+              3 * 2**50 - 1, 3 * 2**50, 3 * 2**50 + 1, 2**52, 2**53 - 1]
+
+
+def unit_circle(k):
+    # (cos, sin) of the angle words k through the draw's _unit_circle
+    k = np.array(k, dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((2, *k.shape), dtype=np.uint64)
+    scratch = np.empty_like(k), np.empty_like(k)
+    return _kernels._unit_circle(out, scratch[0], k, scratch[1])[:, :, 0]
+
+
+class TestUnitCircle:
+    # the draw's cos and sin of the angle k 2^-53 2 pi, for angle words k
+    @pytest.fixture(scope="class")
+    def words(self):
+        rng = np.random.default_rng(20261020)
+        return np.concatenate([np.array(EDGE_WORDS, dtype=np.uint64),
+                               rng.integers(0, 2**53, size=10**6, dtype=np.uint64)])
+
+    def test_port_matches_the_draw_bit_for_bit(self, words):
+        sample = words[:4000]
+        cos, sin = unit_circle(sample)
+        want = np.array([ref_trig(int(k)) for k in sample]).T
+        assert cos.tobytes() == want[0].tobytes()
+        assert sin.tobytes() == want[1].tobytes()
+
+    def test_within_1e15_of_libm(self, words):
+        cos, sin = unit_circle(words)
+        angles = [int(k) * ANG_SCALE for k in words]
+        assert np.abs(cos - np.array([math.cos(a) for a in angles])).max() <= 1e-15
+        assert np.abs(sin - np.array([math.sin(a) for a in angles])).max() <= 1e-15
+
+    def test_on_the_unit_circle(self, words):
+        cos, sin = unit_circle(words)
+        assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
 
 
 class TestFills:
@@ -223,9 +301,9 @@ class TestDistribution:
         assert math.isfinite(impl_gauss(0, 0, 0, 0))
 
     def test_angle_scale_folds_two_pi(self):
-        # the draw scales the angle word k < 2^53 by 2^-53 * 2 pi in one
-        # multiply; k * 2^-53 is exact, so that rounds once, as the two
-        # multiplies (k * 2^-53) * 2 pi do
+        # TestUnitCircle takes the angle of a word k < 2^53 as k * (2^-53 *
+        # 2 pi) in one multiply; k * 2^-53 is exact, so that rounds once,
+        # as the two multiplies (k * 2^-53) * 2 pi of a scalar reference do
         rng = np.random.default_rng(53)
         k = np.concatenate([np.array([0, 1, 2**52, 2**53 - 1], dtype=np.uint64),
                             rng.integers(0, 2**53, size=10**5, dtype=np.uint64)])
