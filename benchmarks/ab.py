@@ -10,10 +10,18 @@ two sides run back to back, the change first on even pair indices, so
 drift of the host falls on both sides alike.  The result has the schema
 of the other BENCH_*.json files: `what`, `parent_commit`, `machine`,
 `claimed_gain` and, per workload, `runs` and a `summary` per end-to-end
-metric of the change's BENCHMARK.json: the parent's median and
-quartiles (numpy's linear 25th/75th percentiles), the change's median,
-`change_worse_by` (the relative change of the median in the metric's
-worse direction), the metric's bound, and the pairs the change won.
+metric of the change's BENCHMARK.json: each side's median and
+quartiles (numpy's linear 25th/75th percentiles) and relative spread
+(q3 - q1) / median, `change_worse_by` (the relative change of the
+median in the metric's worse direction), the metric's bound, the pairs
+the change won, and a `verdict`, the first of these that holds:
+
+- `gain`: the change won at least 9 pairs in 10, and its median is
+  better than the parent's by more than the parent's quartile distance;
+- `worse`: `change_worse_by` exceeds the bound;
+- `unresolved`: either side's spread exceeds the bound, and not every
+  change run beats every parent run;
+- `unchanged`.
 """
 
 from __future__ import annotations
@@ -66,23 +74,41 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per metric: parent quartiles, change median, worse-by and pairs won."""
+    """Per metric: both sides' quartiles and spreads, worse-by, pairs won, verdict."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         par = {r["seed"]: r[name] for r in runs if r["side"] == "parent"}
         chg = {r["seed"]: r[name] for r in runs if r["side"] == "change"}
-        pm, cm = float(np.median(list(par.values()))), float(np.median(list(chg.values())))
-        q1, q3 = np.percentile(list(par.values()), [25, 75])
-        won = sum((chg[s] < par[s]) if lower else (chg[s] > par[s]) for s in par)
+        (pq1, pm, pq3), (cq1, cm, cq3) = (
+            [float(q) for q in np.percentile(list(side.values()), [25, 50, 75])]
+            for side in (par, chg))
+        sign = 1.0 if lower else -1.0  # > 0 where the first value is the worse
+        won = sum(sign * (par[s] - chg[s]) > 0 for s in par)
+        worse_by = sign * (cm - pm) / pm
+        pspread, cspread = (pq3 - pq1) / pm, (cq3 - cq1) / cm
+        if won >= 0.9 * len(par) and sign * (pm - cm) > pq3 - pq1:
+            verdict = "gain"
+        elif worse_by > m["bound"]:
+            verdict = "worse"
+        elif max(pspread, cspread) > m["bound"] and not all(sign * (p - c) > 0 for p in par.values()
+                                             for c in chg.values()):
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
         out[name] = {
             "parent_median": round(pm, 4),
-            "parent_q1": round(float(q1), 4),
-            "parent_q3": round(float(q3), 4),
+            "parent_q1": round(pq1, 4),
+            "parent_q3": round(pq3, 4),
+            "parent_spread": round(pspread, 4),
             "change_median": round(cm, 4),
-            "change_worse_by": round((cm - pm) / pm if lower else (pm - cm) / pm, 4),
+            "change_q1": round(cq1, 4),
+            "change_q3": round(cq3, 4),
+            "change_spread": round(cspread, 4),
+            "change_worse_by": round(worse_by, 4),
             "bound": m["bound"],
             "change_better_pairs": f"{won}/{len(par)}",
+            "verdict": verdict,
         }
     return out
 

@@ -1,41 +1,42 @@
 """Counter-based Gaussian lattice noise and anti-diagonal marching kernels.
 
-One vectorized numpy path: every march advances a whole anti-diagonal
-layer at a time through one cell step, _step_np, on contiguous layer
-buffers reused from layer to layer: (slot, replication) blocks in the
-replication kernels, (slot, field) blocks in the stored-window marches,
-which read and write their L x L windows _LAYER_BLOCK layers at a time.
-The two replication kernels share one layer loop, _march_layers:
-march_points records points from the layers it yields, march_qv adds
-up Q_N and the sum of F^2.  One loop can step several windows in
-lock-step from one noise draw, as march_qv does for the resolutions of
-a quadratic-variation sweep and march_points for the levels of
-linear_variance: a normal is a pure function of its lattice index, so
-each layer is drawn once, for the widest window, and every other
-window steps on a row slice of that draw, weighted by its own eps.  A
-window carries its whole model (a, m, theta and F), and a window may
-repeat: the coupled linear twin of a march is one more window, the
-same one with theta 1 and F ident 1, and quadvar_rate's linear part
-(a = 0, m = 1) steps on its nonlinear part's draw.  The windows come
-in any order, and the loop finds the widest; every other must nest in
-it: at layer s the draw covers cells i0 + s - 1 .. i0 + L0 - 2 of
-the widest window (L0 rows from i_min = i0), and a window (L, i_min)
-needs i_min + s - 1 .. i_min + L - 2, which lies inside for every s
-exactly when i0 <= i_min and i_min + L <= i0 + L0.  The [0,N]^2
-windows (L = 2N + 1, i_min = -N) nest for every N up to the widest,
-and so do linear_variance's stencil windows at (1/2, 1/2) (L = n + 3,
-i_min = -(n/2 + 1)) for every n up to the finest.
+One vectorized numpy path and one layer loop, _march_layers, the sole
+owner of F's evaluation, the noise drive, the own-bottom schedule and
+the rotation of the layer buffers: every march advances a whole
+anti-diagonal layer at a time through one cell step, _step_np, on
+contiguous buffers reused from layer to layer, and its callers only
+bring the noise and read the layers.  march_points records points and
+march_qv adds up Q_N and the sum of F^2 on (slot, replication) buffers
+over Philox layers drawn in the kernel; march_window steps 1-D slot
+buffers over noise.generate's stored increments, read and written
+_LAYER_BLOCK layers at a time, and march_split keeps only the parts
+v_L and v_C, which step beside v on its bottoms and drive.  The loop
+can step several windows in lock-step from one noise draw, as march_qv
+does for the resolutions of a quadratic-variation sweep and
+march_points for the levels of linear_variance: a normal is a pure
+function of its lattice index, so each layer is drawn once, for the
+widest window, and every other window steps on a row slice of that
+draw, weighted by its own eps.  A window carries its whole model (a,
+m, theta and F), and may repeat: the coupled linear twin of a march is
+the same window with theta 1 and F ident 1, and quadvar_rate's linear
+part (a = 0, m = 1) steps on its nonlinear part's draw.  Every other
+window must nest in the widest: at layer s the draw covers cells
+i0 + s - 1 .. i0 + L0 - 2 of the widest window (L0 rows from
+i_min = i0), and a window (L, i_min) needs i_min + s - 1 .. i_min + L - 2,
+inside for every s exactly when i0 <= i_min and i_min + L <= i0 + L0.
+The [0,N]^2 windows (L = 2N + 1, i_min = -N) nest for every N up to
+the widest, and so do linear_variance's stencil windows at (1/2, 1/2)
+(L = n + 3, i_min = -(n/2 + 1)) for every n up to the finest.
 Results are bit-reproducible regardless of window shape, chunking or
-thread schedule, and every result leaves the module only when it is
-finite.
+thread schedule, and leave the module only when finite.
 
 The layer loop leaves out the passes that cannot change a bit in the
 experiments' usual models: F ident 1, critical damping and a weight
-of 1.  Every march takes its noise drive from one helper, _drive, as
-(F(bot) w) dW: the replication kernels fold eps into the weight,
-w = (theta/2) eps, and multiply the raw normals, which rounds as
-(F theta/2)(z eps) since every caller's eps is a power of two (unless
-F theta/2 eps falls below the normal range).  F ident 1 is never
+of 1.  The loop forms every march's noise drive as (F(bot) w) dW,
+with w = theta/2 on stored increments; on raw normals it folds eps
+into the weight, w = (theta/2) eps, which rounds as (F theta/2)(z eps)
+since every caller's eps is a power of two (unless F theta/2 eps falls
+below the normal range).  F ident 1 is never
 evaluated (the drive is w dW, and march_qv adds its sum of F^2 as a
 count of ones), and neither a weight w of exactly 1 nor the slope of
 shifted_sine at 1 is multiplied in: x * 1.0 is x, bit for bit.  At
@@ -75,21 +76,9 @@ through _LayerNoise.layers, triangle_normals draws layer 1 through
 _LayerNoise.draw for one seed, cell_normals draws single cells for a
 chunk of replications, and lattice_normals draws its rectangle
 _FILL_PAIR_ROWS pair rows at a time so that a block's temporaries stay
-in cache;
-noise.generate draws only the pairs on or above the initial line.
-Round 1's first word, x0 = q ^ hi(PM1 kind) ^ k0, and its round-2
-product PM0 x0 depend on (q, kind, seed) but not on the anti-diagonal,
-so _LayerNoise.counter_words computes that product's hi and lo words
-apart from blocks: _LayerNoise.layers computes them once per chunk,
-for every pair the widest window's kind-0 layers reach, and each layer
-slices that table; the fill, cell_normals and the layer-1 (kind-1)
-draw compute them on the spot, in the scratch rows blocks reads them
-from.  The draw keeps a block's four state words as two stacked pairs,
-[x0, x2] and [x1, x3], so that one numpy call runs a round step on
-both halves, and takes its uniforms, trig values and normals in the
-memory of the words it has used up: three word buffers per chunk, and
-the table, are its whole scratch.  So blocks and draw return views of
-that scratch, which the next call overwrites; a caller reads them first.
+in cache; noise.generate draws only the pairs on or above the initial
+line.  _LayerNoise says how a draw keeps its state words and scratch,
+and so why blocks and draw return views that the next call overwrites.
 """
 
 from __future__ import annotations
@@ -453,33 +442,14 @@ def cell_normals(seeds, pts_i, pts_j):
     return z[np.arange(i.shape[0]), i & 1].T
 
 
-def _drive(out, fb, w, dW):
-    """The noise drive (F(bot) w) dW of a layer's cells, into `out`.
-
-    The one drive of every march: fb = F(bot), or None for F ident 1,
-    and w = theta/2 on stored increments or (theta/2) eps on raw
-    normals.  A w of exactly 1 is not multiplied into F(bot).
-    """
-    if fb is None:
-        np.multiply(dW, w, out=out)
-    elif w == 1.0:
-        np.multiply(fb, dW, out=out)
-    else:
-        np.multiply(fb, w, out=out)
-        out *= dW
-    return out
-
-
 def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     """X[:c] = beta*(A[k]+A[k+1]) - beta2*bot + drive (+ drh*bot), in place.
 
-    The one cell update of every march.  Rows are slots k of a layer
-    and bot = B[k+1]; the arrays are contiguous (slot, replication)
-    blocks of the replication kernels or (slot, field) blocks of the
-    stored marches.  drh=None leaves out the own-bottom reaction term:
-    where its weight is zero and leaving it out cannot change a bit (see
-    _rates), and in the stored marches, which add it to v's column alone
-    after the step (the split parts v_L and v_C have none).
+    The one cell update: _march_layers' on contiguous (slot, ...)
+    buffers, rows being slots k of a layer and bot = B[k+1], and that
+    of split's side march on (slot, part) buffers.  drh=None leaves out
+    the own-bottom term: where leaving it out cannot change a bit (see
+    _rates), and in the side march, whose parts v_L and v_C have none.
     """
     x = X[:c]
     t = tmp[:c]
@@ -492,6 +462,66 @@ def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
     if drh is not None:
         np.multiply(bot, drh, out=t)
         x += t
+
+
+# ---------------------------------------------------------------------------
+# the layer loop
+
+
+def _march_layers(windows, z1, draws, scaled=False):
+    """One march per window, yielded layer by layer: w, s, X, A, B, fb, drive.
+
+    `windows` lists (L, i_min, eps, a, m, theta, fid, p0, p1, f0) per
+    march: a window carries its whole model, and may repeat.  All step
+    on the noise of the widest (the first of the widest on a tie), in
+    which every other must nest (see the module docstring), given by the
+    caller as z1, its L0 - 1 layer-1 values, and `draws`, which yields
+    its layers 2 .. L0-1, slot first: raw normals, or with `scaled`
+    stored increments that already carry the triangle's eps/sqrt 2 and
+    the cell's eps.  Layer s = 1 .. L-1 of each window is yielded in
+    list order, w being the window's place in it: X is layer s, A and B
+    the two before it, (slot k, *z1.shape[1:]) buffers of which the
+    first c = L - s slots of X are live; fb = F(B[1 : c+1]) are the
+    layer's bottom coefficients, None for F ident 1, which is never
+    evaluated, and drive its noise drive (both None on layer 1, which
+    the boundary triangles seed).  Raw normals need a power-of-two eps,
+    which the drive folds into the weight.  Buffers are reused, so a
+    yield must be read before the next one is asked for.
+    """
+    L0, i0 = max(windows, key=lambda w: w[0])[:2]
+    fb_buf, drive_buf, tmp = (np.empty((L0, *z1.shape[1:])) for _ in range(3))
+    marches = []
+    for w, (L, i_min, eps, a, m, theta, fid, p0, p1, f0) in enumerate(windows):
+        o = i_min - i0  # the window's first row in the widest window's noise
+        beta, th2, drh2, drh = _rates(eps, a, m, theta)
+        tri, weight = (1.0, th2) if scaled else (eps / _SQRT2, th2 * eps)
+        B, A, X = field = [np.zeros((L + 1, *z1.shape[1:])) for _ in range(3)]
+        # layer 1, grouped as (theta/2 F(0)) (tri z) on raw and stored
+        # noise alike, so both give the same bytes (1.0 * z is z)
+        A[: L - 1] = (th2 * f0) * (tri * z1[o : o + L - 1])
+        yield w, 1, A, B, X, None, None  # the layers below 1 are zero
+        coef = None if fid == FID_CONSTANT_ONE else (fid, p0, p1)
+        marches.append((L, o, weight, beta, beta * beta, drh2, drh, coef, field))
+    for s in range(2, L0):
+        z = next(draws)
+        for w, (L, o, weight, beta, beta2, drh2, drh, coef, field) in enumerate(marches):
+            if s >= L:
+                continue
+            c = L - s
+            B, A, X = field
+            drive, dW = drive_buf[:c], z[o : o + c]
+            fb = None if coef is None else _f_eval_np(*coef, B[1 : c + 1], out=fb_buf[:c])
+            # the drive (F(bot) w) dW, with neither F ident 1 nor a w of 1 multiplied in
+            if fb is None:
+                np.multiply(dW, weight, out=drive)
+            elif weight == 1.0:
+                np.multiply(fb, dW, out=drive)
+            else:
+                np.multiply(fb, weight, out=drive)
+                drive *= dW
+            _step_np(X, A, B, c, drive, beta, beta2, drh2 if s == 2 else drh, tmp)
+            yield w, s, X, A, B, fb, drive
+            field[:] = A, X, B
 
 
 # ---------------------------------------------------------------------------
@@ -513,68 +543,74 @@ def _layers(flat, L, s0, K):
     )
 
 
-@_quiet
-def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
-    """[v] marched over stored increments, or [v, v_L, v_C] with `split`.
+def _stored_rows(cells):
+    """Layers 2 .. L-1's cell increments, slots 1 .. L-s of anti-diagonal s-2.
 
-    The fields march side by side as the columns of (slot, field) layer
-    buffers B, A and X, contiguous and reused from layer to layer as in
-    march_points, so one set of ufunc calls steps all of them.  Layers go
-    in blocks of _LAYER_BLOCK: a block's dW is read from `cells` row by
-    row into a small buffer, and its marched layers are staged and then
-    written row by row into the L x L results, each value once, so no
-    layer op walks a window anti-diagonal (a stride of L-1 values).
-
-    v_C takes v's noise drive th2*F(v(bottom))*dW and v_L the drift
-    drive (1/2)(b v(bottom)) eps^2.  Only v gains the own-bottom term
-    drh*bot, added after the step (from layer 3 on only where it can
-    change a bit, see _rates), so v_L + v_C reproduces v to round-off
-    and the parts never gain a 0*bot (which would turn -0.0 into +0.0).
+    Read from the L x L `cells` row by row, a block of _LAYER_BLOCK
+    layers at a time into a small buffer; each yield is a column of it.
     """
     L = cells.shape[0]
-    beta, th2, drh2, drh = _rates(eps, a, m, theta)
-    beta2 = beta * beta
+    flat = np.ascontiguousarray(cells, dtype=float).reshape(-1)
+    dws = np.empty((L, _LAYER_BLOCK))  # a block's increments, by window row
+    for s0 in range(2, L, _LAYER_BLOCK):
+        k = min(_LAYER_BLOCK, L - s0)
+        dws[s0 - 2 :, :k] = _layers(flat, L, s0 - 2, k)
+        for r in range(k):
+            yield dws[s0 + r - 1 : L - 1, r]
+
+
+def _split_parts(layers, L, eps, a, m, theta):
+    """Layers (w, s, [v_L, v_C]) of split's side march beside v's layers.
+
+    v_C steps on v's noise drive and v_L on the drift drive (1/2)(b
+    v(bottom)) eps^2, as the columns of (slot, part) buffers.  Neither
+    gains v's own-bottom term drh*bot, so v_L + v_C reproduces v to
+    round-off and no 0*bot turns a part's -0.0 into +0.0.
+    """
+    beta = _rates(eps, a, m, theta)[0]
     bcoef = 0.25 * a * a - m * m
-    nfield = 3 if split else 1
-    fields = [np.zeros((L, L)) for _ in range(nfield)]
-    flats = [f.reshape(-1) for f in fields]
-    cflat = np.ascontiguousarray(cells, dtype=float).reshape(-1)
+    B, A, X, drive, tmp = (np.zeros((L + 1, 2)) for _ in range(5))
+    for w, s, v, _, vb, _, d in layers:
+        c = L - s
+        if s == 1:
+            X[:c, 1] = v[:c]  # v_C starts from v's layer 1, v_L from zero
+        else:
+            b = np.multiply(vb[1 : c + 1], bcoef, out=drive[:c, 0])
+            for f in (0.5, eps, eps):  # ((b bot) 1/2) eps eps
+                b *= f
+            drive[:c, 1] = d
+            _step_np(X, A, B, c, drive[:c], beta, beta * beta, None, tmp)
+        yield w, s, X
+        B, A, X = A, X, B
+
+
+@_quiet
+def _march_stored(cells, tris, eps, a, m, theta, fid, p0, p1, f0, split=False):
+    """[v] marched over stored increments, or with `split` its parts [v_L, v_C].
+
+    v steps through _march_layers on 1-D slot buffers.  The kept fields'
+    layers are staged _LAYER_BLOCK at a time and each block written row
+    by row into the L x L results, each value once, so no layer op walks
+    a window anti-diagonal (a stride of L-1 values).
+    """
+    L = cells.shape[0]
+    window = (L, 0, eps, a, m, theta, fid, p0, p1, f0)
+    tris = np.asarray(tris, dtype=float)
+    layers = _march_layers([window], tris, _stored_rows(cells), scaled=True)
+    layers = _split_parts(layers, L, eps, a, m, theta) if split else layers
+    fields = [np.zeros((L, L)) for _ in range(2 if split else 1)]
     K = _LAYER_BLOCK
     tri = np.tri(K, dtype=bool)  # [ii - s0, r] of a block's first rows that lie in a layer
-    B, A, X, drive, tmp = (np.zeros((L + 1, nfield)) for _ in range(5))
-    stage = np.empty((L, K, nfield))  # marched layers of a block, by window row
-    dws = np.empty((L, K))  # their cell increments, by window row
-    fb = np.empty(L)
-    np.multiply(th2 * f0, tris, out=A[: L - 1, 0])
-    A[:, -1] = A[:, 0]  # v_C starts from v's layer 1, v_L from zero
-    for f, flat in enumerate(flats):
-        _layers(flat, L, 1, 1)[:, 0] = A[: L - 1, f]
-    for s0 in range(2, L, K):
-        k = min(K, L - s0)
-        dws[s0 - 2 :, :k] = _layers(cflat, L, s0 - 2, k)
-        for r in range(k):
-            s = s0 + r
-            c = L - s
-            bot = B[1 : c + 1, 0]
-            fbc = None if fid == FID_CONSTANT_ONE else _f_eval_np(fid, p0, p1, bot, out=fb[:c])
-            d = _drive(drive[:c, 0], fbc, th2, dws[s - 1 : L - 1, r])
-            if split:
-                drive[:c, 2] = d
-                b = drive[:c, 1]
-                np.multiply(bot, bcoef, out=b)
-                b *= 0.5
-                b *= eps
-                b *= eps
-            _step_np(X, A, B, c, drive[:c], beta, beta2, None, tmp)
-            d = drh2 if s == 2 else drh
-            if d is not None:
-                X[:c, 0] += np.multiply(bot, d, out=fb[:c])
-            stage[s:, r] = X[:c]
-            B, A, X = A, X, B
-        for f, flat in enumerate(flats):
-            out = _layers(flat, L, s0, k)
-            out[k - 1 :] = stage[s0 + k - 1 :, :k, f]
-            np.copyto(out[: k - 1], stage[s0 : s0 + k - 1, :k, f], where=tri[: k - 1, :k])
+    stage = np.empty((len(fields), L, K))  # a block's layers, by window row
+    for _, s, X, *_ in layers:
+        r = (s - 1) % K
+        stage[:, s:, r] = X[: L - s].T
+        if r == K - 1 or s == L - 1:
+            s0, k = s - r, r + 1
+            for f, field in enumerate(fields):
+                out = _layers(field.reshape(-1), L, s0, k)
+                out[k - 1 :] = stage[f, s0 + k - 1 :, :k]
+                np.copyto(out[: k - 1], stage[f, s0 : s0 + k - 1, :k], where=tri[: k - 1, :k])
     _finite(*fields)
     return fields
 
@@ -593,57 +629,14 @@ def march_window(cells, tris, eps, a, m, theta, fid, p0, p1, f0):
 # batched marching with in-kernel noise (replication workhorses)
 
 
-def _march_layers(seeds, windows):
-    """One march per seed and window, yielded layer by layer: w, s, X, A, B, fb.
-
-    `windows` lists (L, i_min, eps, a, m, theta, fid, p0, p1, f0) per
-    march: a window carries its whole model.  The windows come in any
-    order; all step on the draw of the widest (the first of the widest
-    on a tie), so every other must nest in it (see the module
-    docstring), and a window may repeat.  Layer s = 1 .. L-1 of each
-    window still marching is yielded in list order, w being the
-    window's place in the list.  X is layer s, A and B the two layers
-    before it, all (slot k, replication) buffers of which the first
-    c = L - s slots of X are live; fb = F(B[1 : c+1]) are the c
-    bottom coefficients of the layer, or None for F ident 1, which is
-    never evaluated.  A window's eps must be a power of two, as every
-    caller's is, since the drive folds it into the noise weight.  Layer
-    1 comes from the boundary triangles: its cells have their bottoms
-    below the initial line, so it has no cell increment.  Buffers are reused, so a yield must be
-    read before the next one is asked for.
-    """
+def _philox_noise(seeds, windows):
+    """_march_layers' noise for a chunk of seeds, drawn for the widest window."""
     L0, i0 = max(windows, key=lambda w: w[0])[:2]
-    R = seeds.shape[0]
+    if any(i_min < i0 or i_min + L > i0 + L0 for L, i_min, *_ in windows):
+        raise UsageError("every window must nest in the widest")
     noise = _LayerNoise(seeds, L0 - 1)
-    fb_buf, drive_buf, tmp = (np.empty((L0, R)) for _ in range(3))
-    z1 = noise.draw(1, i0 + 1, L0 - 1, 1)
-    marches = []
-    for L, i_min, eps, a, m, theta, fid, p0, p1, f0 in windows:
-        o = i_min - i0  # the window's first row in the widest window's draw
-        if o < 0 or o + L > L0:
-            raise UsageError("every window must nest in the widest")
-        tri = eps / _SQRT2
-        beta, th2, drh2, drh = _rates(eps, a, m, theta)
-        field = [np.zeros((L + 1, R)) for _ in range(3)]  # B, A, X
-        # grouped as _march_stored does with the stored tri * z, so both
-        # routes give the same bytes
-        field[2][: L - 1] = (th2 * f0) * (tri * z1[o : o + L - 1])
-        coef = None if fid == FID_CONSTANT_ONE else (fid, p0, p1)
-        marches.append((L, o, th2 * eps, beta, beta * beta, drh2, drh, coef, field))
-    draws = noise.layers(i0, L0)
-    for s in range(1, L0):
-        z = next(draws) if s > 1 else None
-        for w, (L, o, weight, beta, beta2, drh2, drh, coef, field) in enumerate(marches):
-            if s >= L:
-                continue
-            c = L - s
-            B, A, X = field
-            fb = None if coef is None else _f_eval_np(*coef, B[1 : c + 1], out=fb_buf[:c])
-            if s > 1:
-                drive = _drive(drive_buf[:c], fb, weight, z[o : o + c])
-                _step_np(X, A, B, c, drive, beta, beta2, drh2 if s == 2 else drh, tmp)
-            yield w, s, X, A, B, fb
-            field[:] = A, X, B
+    # layer 1 is a view of the scratch, which the first layer draw overwrites
+    return noise.draw(1, i0 + 1, L0 - 1, 1), noise.layers(i0, L0)
 
 
 @_quiet
@@ -653,8 +646,9 @@ def march_points(
     """March one replication per seed, keeping only requested values.
 
     Returns an (R, K) array: column t holds the marched field at lattice
-    point (pts_i[t], pts_j[t]).  Memory is O(L) per replication; chunk
-    the seeds upstream.
+    point (pts_i[t], pts_j[t]), which must lie in the window on or above
+    the initial line (where the field is 0).  Memory is O(L) per
+    replication; chunk the seeds upstream.
 
     `coarser` lists further windows, wider or narrower than the first,
     each the argument list of a march_points call of its own after
@@ -665,20 +659,25 @@ def march_points(
     march is the same window with theta 1 and F ident 1.
     """
     seeds = _seed_array(seeds)
-    windows = []
+    runs = ((L, i_min, eps, a, m, theta, fid, p0, p1, f0, pts_i, pts_j), *coarser)
+    windows = [run[:-2] for run in runs]
+    noise = _philox_noise(seeds, windows)  # which checks that the windows nest
     at_layer = []  # per window: the requested points by layer, as (column, slot)
     width = 0
-    for *window, pi, pj in ((L, i_min, eps, a, m, theta, fid, p0, p1, f0, pts_i, pts_j), *coarser):
-        pi = np.ascontiguousarray(pi, dtype=np.int64)
-        pj = np.ascontiguousarray(pj, dtype=np.int64)
+    for L, i_min, *_, pi, pj in runs:
+        pi, pj = (np.ascontiguousarray(p, dtype=np.int64) for p in (pi, pj))
+        if pi.shape != pj.shape:
+            raise UsageError("march_points needs as many pts_i as pts_j")
+        s, kt = pi + pj, -i_min - pj
+        if not ((s >= 0) & (kt >= 0) & (kt < L - s)).all():
+            raise UsageError("every point must lie in its window, on or above the initial line")
         cols = {}
-        for t in range(pi.shape[0]):
-            cols.setdefault(int(pi[t] + pj[t]), []).append((width + t, -window[1] - int(pj[t])))
-        windows.append(window)
+        for t in range(s.shape[0]):
+            cols.setdefault(int(s[t]), []).append((width + t, int(kt[t])))
         at_layer.append(cols)
-        width += pi.shape[0]
+        width += s.shape[0]
     out = np.zeros((seeds.shape[0], width))
-    for w, s, X, _, _, _ in _march_layers(seeds, windows):
+    for w, s, X, *_ in _march_layers(windows, *noise):
         for t, kt in at_layer[w].get(s, ()):
             out[:, t] = X[kt]
     _finite(out)
@@ -711,7 +710,7 @@ def march_qv(seeds, N, theta, fid, p0, p1, f0, a, m, *, coarser=()):
     top = max(run[0] for run in runs)
     sq, acc = np.empty((top, R)), np.empty((top, R))
     windows = [(2 * n + 1, -n, 1.0 / n, a_n, m_n, *model) for n, *model, a_n, m_n in runs]
-    for w, s, X, A, B, fb in _march_layers(seeds, windows):
+    for w, s, X, A, B, fb, _ in _march_layers(windows, *_philox_noise(seeds, windows)):
         n = runs[w][0]
         # slots k whose cell bottom (s - 1 - n + k, n - 1 - k) is in [0, n)^2
         lo = max(0, n + 1 - s)

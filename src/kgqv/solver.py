@@ -143,20 +143,19 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     v_C carries the noise term, replaying F along the full field's
     bottom values; v_L carries the drift quadrature.  By linearity of
     the homogeneous recurrence, v_L + v_C reproduces v to round-off.
-    All three fields march in one pass.  Returns (v_L, v_C).
+    v marches layer by layer as march does, and the two parts step
+    beside it on its bottoms and drive; only the parts are kept.
+    Returns (v_L, v_C).
     """
     _check_noise(noise)
     g = noise.grid
-    _, v_l, v_c = _kernels._march_stored(
+    parts = _kernels._march_stored(
         noise.cells, noise.tris, g.eps, params.a, params.m, params.theta,
         F.fid, F.p0, F.p1, F(0.0), split=True,
     )
-    v_l.setflags(write=False)
-    v_c.setflags(write=False)
-    return (
-        FieldSample(g, v_l, params),
-        FieldSample(g, v_c, params),
-    )
+    for v in parts:
+        v.setflags(write=False)
+    return tuple(FieldSample(g, v, params) for v in parts)
 
 
 def _cone_sum(x, beta):

@@ -225,6 +225,26 @@ def test_a_window_must_nest_in_the_widest():
     assert shared.tobytes() == np.hstack(alone).tobytes()
 
 
+@pytest.mark.parametrize("point", [(5, 0), (0, 5), (-4, 3), (2, -5)])
+def test_a_point_outside_its_window_is_rejected(point):
+    # the n = 4 window spans i, j in [-4, 4] with i + j >= 0; unchecked,
+    # (5, 0) read a stale slot of its layer and (0, 5) the slot X[-1]
+    F = shifted_sine()
+    window = (9, -4, 0.25, 1.0, 0.5, 1.0, F.fid, F.p0, F.p1, F(0.0))
+    inside = (np.array([4, 0, -4, 1]), np.array([4, 0, 4, 2]))
+    outside = (np.array([1, point[0]]), np.array([2, point[1]]))
+    with pytest.raises(UsageError, match="every point must lie in its window"):
+        _kernels.march_points(SEEDS, *window, *outside)
+    with pytest.raises(UsageError, match="every point must lie in its window"):
+        _kernels.march_points(SEEDS, *window, *inside, coarser=[(*window, *outside)])
+    # so is a point list whose pts_i and pts_j differ in length
+    with pytest.raises(UsageError, match="as many pts_i as pts_j"):
+        _kernels.march_points(SEEDS, *window, inside[0], inside[1][:3])
+    # the corner, the initial line (where the field is 0) and the inside still march
+    out = _kernels.march_points(SEEDS, *window, *inside)
+    assert (out[:, 1:3] == 0.0).all() and (out[:, [0, 3]] != 0.0).all()
+
+
 @pytest.mark.parametrize("coupled", [False, True])
 def test_march_points_rows_do_not_depend_on_chunk_size(coupled):
     F = shifted_sine()

@@ -228,12 +228,24 @@ class TestMarchAgainstReplay:
                     assert part.value(i, j) == full.value(i, j)
 
     def test_twin_paths_agree(self):
-        # the strided-view kernels against their plain-Python cell loop,
-        # byte for byte, for an affine and a clipped coefficient
+        # the stored-window marches against their plain-Python cell loop,
+        # byte for byte, for an affine and a clipped coefficient and for
+        # the layer loop's branches: critical damping (drh = 0, left out
+        # from layer 3 on), beta <= 1/2 (a = 32 at n = 16, drh kept), a
+        # stored weight theta/2 of exactly 1, the signed zeros of F(u) = u
+        # and a < 0
         nf = noise.generate(RotatedGrid(16), 4)
         for params, F in (
             (PhysParams(a=1.5, m=0.4, theta=1.3, diffusion_id="affine"), affine(0.7, 0.9)),
             (PhysParams(a=0.7, m=0.2, theta=2.0, diffusion_id="clipped_linear"), clipped_linear()),
+            (PhysParams(a=1.0, m=0.5, theta=1.3), shifted_sine()),
+            (PhysParams(a=32.0, m=16.0, theta=1.3), shifted_sine()),
+            (PhysParams(a=32.0, m=3.0, theta=0.7, diffusion_id="affine"), affine(0.7, 0.9)),
+            (PhysParams(a=1.5, m=0.4, theta=2.0), shifted_sine(2.0, 0.5)),
+            (PhysParams(a=1.0, m=0.5, theta=2.0, diffusion_id="constant_one"), constant_one()),
+            (PhysParams(a=1.5, m=0.4, theta=1.3, diffusion_id="affine"), affine(0.0, 1.0)),
+            (PhysParams(a=1.0, m=0.5, theta=1.3, diffusion_id="affine"), affine(0.0, 1.0)),
+            (PhysParams(a=-1.0, m=0.3, theta=1.3), shifted_sine()),
         ):
             v, v_l, v_c = cell_loop(params, F, nf)
             assert march(params, F, nf).values.tobytes() == v.tobytes()
