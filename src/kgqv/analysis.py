@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .coords import RotPoint, RotatedGrid, double_increment
-from .errors import CouplingError, DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .greens import PhysParams
 from .solver import DiffusionCoefficient, FieldSample
 
@@ -48,34 +48,6 @@ class IncrementL2:
 def linearization_remainder(v_corners, V_corners, theta: float, F: DiffusionCoefficient):
     """dd v - theta F(v(c00)) dd V from corners (c00, c10, c01, c11): values or arrays."""
     return double_increment(*v_corners) - theta * F(v_corners[0]) * double_increment(*V_corners)
-
-
-def remainder(
-    v: FieldSample,
-    V: FieldSample,
-    F: DiffusionCoefficient,
-    q: RotPoint,
-    eps: float,
-    sign: int,
-) -> float:
-    """Local-linearization remainder dd(v) - theta F(v(q)) dd(V) at one point.
-
-    dd is the rectangular double increment with first-coordinate step
-    sign*eps and second-coordinate step +eps; v and V must be coupled
-    (same grid, same equation parameters, one noise realization).
-    """
-    if v.grid != V.grid:
-        raise CouplingError("fields live on different grids")
-    if (v.params.a, v.params.m) != (V.params.a, V.params.m):
-        raise CouplingError("fields carry different equation parameters")
-    if sign not in (1, -1):
-        raise UsageError(f"sign must be +1 or -1, got {sign}")
-    k = v.grid.steps_of(eps)
-    i, j = v.grid.index_of(q)
-    corners = ((i, j), (i + sign * k, j), (i, j + k), (i + sign * k, j + k))
-    return linearization_remainder(
-        [v.value(*c) for c in corners], [V.value(*c) for c in corners], v.params.theta, F
-    )
 
 
 def lp_norm_mc(x, p: float):

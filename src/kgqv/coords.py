@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DomainError, GridAlignmentError, UsageError
 
 SQRT2 = math.sqrt(2.0)
-_ALIGN_TOL = 1e-6  # grid units a point or a step may sit off the lattice
+_ALIGN_TOL = 1e-6  # grid units a point may sit off the lattice
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,6 @@ class RotatedGrid:
             )
         self.require_index(i, j)
         return i, j
-
-    def steps_of(self, eps: float) -> int:
-        """Number of lattice steps in an increment eps; raises if misaligned."""
-        fk = eps * self.n
-        k = round(fk)
-        if k < 1 or abs(fk - k) > _ALIGN_TOL:
-            raise GridAlignmentError(
-                f"increment {eps} is not a positive multiple of 1/{self.n}"
-            )
-        return k
 
 
 def double_increment(c00, c10, c01, c11):

@@ -21,10 +21,6 @@ class GridAlignmentError(UsageError):
     """An increment or evaluation point is not aligned with the lattice."""
 
 
-class CouplingError(KgqvError):
-    """Pathwise-coupled fields do not share a grid or noise realization."""
-
-
 class NumericError(KgqvError):
     """A computed statistic is non-finite or otherwise unusable."""
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, _kernels, analysis, noise, solver
-from .coords import PhysPoint, RotatedGrid, RotPoint, original_coord_diff, to_physical
+from .coords import (
+    SQRT2, PhysPoint, RotatedGrid, RotPoint, original_coord_diff, to_physical, to_rotated,
+)
 from .errors import NumericError, UsageError
 from .greens import (
     PhysParams,
@@ -419,33 +421,6 @@ def _remainder_window(n: int, eps_list, points) -> RotatedGrid:
     return RotatedGrid(n, i_max=i_max, j_max=j_max)
 
 
-def _mapping_gap(seed: int) -> float:
-    """Physical-coordinate stencils replayed on small coupled fields."""
-    n = 32
-    params = PhysParams(a=1.0, m=0.5, theta=1.0, diffusion_id="shifted_sine")
-    F = solver.coefficient_from_id(params.diffusion_id)
-    gap = 0.0
-    for s in range(3):
-        nf = noise.generate(RotatedGrid(n), seed + s)
-        v = solver.march(params, F, nf)
-        V = solver.march_linear(params, nf)
-        vf, Vf = v.phys_function(), V.phys_function()
-        v_txy = lambda t, x: vf(PhysPoint(t, x))
-        V_txy = lambda t, x: Vf(PhysPoint(t, x))
-        for q in (RotPoint(0.5, 0.5), RotPoint(0.25, 0.75)):
-            base = params.theta * F(v.value(*v.grid.index_of(q)))
-            p = to_physical(q)
-            for eps_rot in (1.0 / 8, 1.0 / n):
-                e_phys = eps_rot / math.sqrt(2.0)
-                for k, sign in ((1, -1), (2, 1)):
-                    rot = analysis.remainder(v, V, F, q, eps_rot, sign)
-                    phys = original_coord_diff(
-                        v_txy, p, e_phys, k
-                    ) - base * original_coord_diff(V_txy, p, e_phys, k)
-                    gap = max(gap, abs(rot - phys))
-    return gap
-
-
 def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     params, n, reps = s["params"], s["n"], s["reps"]
     F = solver.coefficient_from_id(params.diffusion_id)
@@ -480,13 +455,23 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
         return [block[:, col_of[(i + di, j + dj)]]
                 for di, dj in ((0, 0), (sign * k, 0), (0, k), (sign * k, k))]
 
+    def at(block):
+        """f(t, x): the column of the lattice point at physical (t, x)."""
+        return lambda t, x: block[:, col_of[grid.index_of(to_rotated(PhysPoint(t, x)))]]
+
+    v_at, lin_at = at(v_block), at(lin_block)
+
     rows = []
     slopes = {}
     all_in_window = True
+    map_gap = 0.0
     for p_idx, q in enumerate(points):
         i = int(round(q.tau * n))
         j = int(round(q.lam * n))
-        for sign, label in ((1, "plus"), (-1, "minus")):
+        p = to_physical(q)
+        base = params.theta * F(v_block[:, col_of[(i, j)]])
+        # the physical stencil k = 1 is the rotated one of sign -1, k = 2 of sign +1
+        for sign, label, k_phys in ((1, "plus", 2), (-1, "minus", 1)):
             norms = []
             for eps in eps_list:
                 k = int(round(eps * n))
@@ -495,6 +480,10 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
                     params.theta, F,
                 )
                 norm, se = analysis.lp_norm_mc(r, 2.0)
+                e_phys = eps / SQRT2
+                phys = (original_coord_diff(v_at, p, e_phys, k_phys)
+                        - base * original_coord_diff(lin_at, p, e_phys, k_phys))
+                map_gap = max(map_gap, float(np.max(np.abs(r - phys))))
                 norms.append(norm)
                 rows.append((p_idx, q.tau, q.lam, sign, eps, norm, se))
             fit = analysis.fit_loglog(eps_list, norms)
@@ -507,8 +496,6 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
                 "in_window": ok,
                 "slope_excl_unit_cell": coarse.slope,
             }
-    _progress("remainder_rate: checking physical-coordinate stencil mapping")
-    map_gap = _mapping_gap(cfg.seed + 1)
     summary = {
         "eps": eps_list,
         "slopes": slopes,

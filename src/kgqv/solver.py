@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coords import RotatedGrid, to_rotated
+from .coords import RotatedGrid
 from .errors import OracleError, UsageError
 from .greens import PhysParams
 from .noise import NoiseField
@@ -103,14 +103,6 @@ class FieldSample:
     def value(self, i: int, j: int) -> float:
         self.grid.require_index(i, j)
         return float(self.values[i - self.grid.i_min, j - self.grid.j_min])
-
-    def phys_function(self):
-        """Callable on physical points that map onto the lattice."""
-
-        def f(p) -> float:
-            return self.value(*self.grid.index_of(to_rotated(p)))
-
-        return f
 
 
 def _check_noise(noise: NoiseField) -> None:

@@ -10,12 +10,12 @@ from kgqv.analysis import (
     estimate_theta,
     fit_loglog,
     limit_functional,
+    linearization_remainder,
     lp_norm_mc,
     quad_var,
-    remainder,
 )
 from kgqv.coords import RotatedGrid, RotPoint
-from kgqv.errors import CouplingError, DomainError, NumericError, UsageError
+from kgqv.errors import DomainError, NumericError, UsageError
 from kgqv.greens import PhysParams
 from kgqv.solver import (
     FieldSample,
@@ -46,60 +46,30 @@ class TestRemainder:
         g = nf.grid
         for sign in (1, -1):
             for q in (RotPoint(0.25, 0.5), RotPoint(0.5, 0.5)):
-                assert remainder(v, V, F, q, g.eps, sign) == 0.0
-                assert remainder(v, V, F, q, 4 * g.eps, sign) == 0.0
+                i, j = g.index_of(q)
+                for k in (1, 4):
+                    corners = ((i, j), (i + sign * k, j), (i, j + k), (i + sign * k, j + k))
+                    r = linearization_remainder(
+                        [v.value(*c) for c in corners], [V.value(*c) for c in corners],
+                        params.theta, F,
+                    )
+                    assert r == 0.0
 
     def test_matches_hand_stencil(self):
         g = RotatedGrid(4)
         v = make_field(g, lambda i, j: 0.1 * i * i + 0.2 * j + 0.05 * i * j)
         V = make_field(g, lambda i, j: 0.3 * i - 0.7 * j + 0.01 * i * j)
         F = affine(0.5, 2.0)
-        q = RotPoint(0.5, 0.25)  # lattice (2, 1)
         i, j = 2, 1
         for sign in (1, -1):
             vf, Vf = v.value, V.value
             ddv = (vf(i + sign, j + 1) - vf(i + sign, j)) - (vf(i, j + 1) - vf(i, j))
             ddV = (Vf(i + sign, j + 1) - Vf(i + sign, j)) - (Vf(i, j + 1) - Vf(i, j))
             want = ddv - F(vf(i, j)) * ddV
-            assert remainder(v, V, F, q, g.eps, sign) == pytest.approx(want, rel=1e-15)
-
-    def test_rejects_mismatched_grids(self):
-        params = PhysParams()
-        F = constant_one()
-        nf8 = noise.generate(RotatedGrid(8), 1)
-        nf16 = noise.generate(RotatedGrid(16), 1)
-        v = march(params, F, nf8)
-        V = march_linear(params, nf16)
-        with pytest.raises(CouplingError):
-            remainder(v, V, F, RotPoint(0.5, 0.5), 1.0 / 8, 1)
-
-    def test_rejects_mismatched_params(self):
-        F = constant_one()
-        nf = noise.generate(RotatedGrid(8), 1)
-        v = march(PhysParams(a=1.0, m=0.5), F, nf)
-        V = march_linear(PhysParams(a=2.0, m=0.5), nf)
-        with pytest.raises(CouplingError):
-            remainder(v, V, F, RotPoint(0.5, 0.5), 1.0 / 8, 1)
-
-    def test_rejects_bad_sign_and_step(self):
-        params = PhysParams()
-        F = constant_one()
-        nf = noise.generate(RotatedGrid(8), 1)
-        v = march(params, F, nf)
-        V = march_linear(params, nf)
-        with pytest.raises(UsageError):
-            remainder(v, V, F, RotPoint(0.5, 0.5), 1.0 / 8, 0)
-        with pytest.raises(UsageError):
-            remainder(v, V, F, RotPoint(0.5, 0.5), 0.3, 1)
-
-    def test_rejects_stencil_leaving_window(self):
-        params = PhysParams()
-        F = constant_one()
-        nf = noise.generate(RotatedGrid(8), 1)
-        v = march(params, F, nf)
-        V = march_linear(params, nf)
-        with pytest.raises(DomainError):
-            remainder(v, V, F, RotPoint(1.0, 1.0), 1.0 / 8, 1)
+            corners = ((i, j), (i + sign, j), (i, j + 1), (i + sign, j + 1))
+            got = linearization_remainder([vf(*c) for c in corners], [Vf(*c) for c in corners],
+                                          1.0, F)
+            assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestLpNormMc:

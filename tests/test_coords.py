@@ -86,14 +86,6 @@ class TestGrid:
         with pytest.raises(GridAlignmentError):
             g.index_of(RotPoint(0.3, 0.5))
 
-    def test_steps_of(self):
-        g = RotatedGrid(8)
-        assert g.steps_of(0.25) == 2
-        with pytest.raises(GridAlignmentError):
-            g.steps_of(0.3)
-        with pytest.raises(GridAlignmentError):
-            g.steps_of(0.0)
-
 
 class TestDifferences:
     def test_product_function_second_diff(self):
