@@ -316,6 +316,14 @@ class TestRegimes:
         assert min(minus) >= 1.35, minus
 
     @pytest.mark.parametrize("a,m", REGIMES)
+    def test_remainder_mapping_gap_is_zero_at_the_run_model(self, a, m):
+        # the physical-coordinate stencils read the run's own marched
+        # columns, so the mapping is checked at the model the run was given
+        cfg = ExperimentConfig(experiment="remainder_rate", a=a, m=m, theta=2.0,
+                               diffusion="affine", n=128, reps=100)
+        assert experiments.run(cfg).summary["mapping_max_gap"] == 0.0
+
+    @pytest.mark.parametrize("a,m", REGIMES)
     def test_estimator_medians_fall_with_n(self, a, m):
         cfg = ExperimentConfig(experiment="estimator_consistency", a=a, m=m, n=128, reps=100)
         assert experiments.run(cfg).summary["monotone_ok"]
