@@ -23,7 +23,3 @@ class GridAlignmentError(UsageError):
 
 class NumericError(KgqvError):
     """A computed statistic is non-finite or otherwise unusable."""
-
-
-class OracleError(KgqvError):
-    """The fixed-point oracle failed to contract."""

@@ -243,6 +243,11 @@ def _plan_rows(cfg: ExperimentConfig, plan, march) -> list:
     return [np.concatenate(p) for p in parts]
 
 
+def _eps_levels(n: int) -> list[float]:
+    """The eps sweep 2^-4, 2^-5, ..., 1/n of a power-of-two n."""
+    return [2.0**-k for k in range(4, n.bit_length())]
+
+
 # ---------------------------------------------------------------------------
 # green_identities
 
@@ -304,7 +309,7 @@ def _run_green_identities(cfg: ExperimentConfig, s: dict):
 
 def _run_kernel_lemma(cfg: ExperimentConfig, s: dict):
     n = s["n"]
-    eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
+    eps_list = _eps_levels(n)
     rows = []
     configs = {}
     passed = True
@@ -372,7 +377,7 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
     and the rest the finest alone (see _plan_rows).
     """
     params, n, base = s["params"], s["n"], s["reps"]
-    eps_list = [2.0**-k for k in range(4, int(round(math.log2(n))) + 1)]
+    eps_list = _eps_levels(n)
     point = RotPoint(0.5, 0.5)
     reps_of = {eps: base // 5 for eps in eps_list[:-2]}
     reps_of.update({eps_list[-2]: base // 2, eps_list[-1]: base})
@@ -414,20 +419,11 @@ def _run_linear_variance(cfg: ExperimentConfig, s: dict):
 # remainder_rate
 
 
-def _remainder_window(n: int, eps_list, points) -> RotatedGrid:
-    kmax = max(int(round(e * n)) for e in eps_list)
-    i_max = max(int(round(q.tau * n)) for q in points) + kmax
-    j_max = max(int(round(q.lam * n)) for q in points) + kmax
-    return RotatedGrid(n, i_max=i_max, j_max=j_max)
-
-
 def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
     params, n, reps = s["params"], s["n"], s["reps"]
     F = solver.coefficient_from_id(params.diffusion_id)
-    eps_list = [2.0**-k for k in range(4, 10) if 2.0**-k >= 1.0 / n]
+    eps_list = _eps_levels(n)
     points = _REMAINDER_POINTS
-    grid = _remainder_window(n, eps_list, points)
-    rows_grid, _ = grid.shape
 
     # one column per distinct stencil vertex, shared across eps values
     col_of = {}
@@ -440,8 +436,10 @@ def _run_remainder_rate(cfg: ExperimentConfig, s: dict):
                 col_of.setdefault((i + di, j + dj), len(col_of))
     pts_i = np.array([ij[0] for ij in col_of], dtype=np.int64)
     pts_j = np.array([ij[1] for ij in col_of], dtype=np.int64)
+    # the window's corner is the stencils' farthest vertex on each axis
+    grid = RotatedGrid(n, i_max=int(pts_i.max()), j_max=int(pts_j.max()))
     ncols = len(col_of)
-    window = (rows_grid, grid.i_min, grid.eps, params.a, params.m)
+    window = (grid.shape[0], grid.i_min, grid.eps, params.a, params.m)
     one = solver.constant_one()
     _progress(f"remainder_rate: n={n} reps={reps} stencil columns={ncols}")
     # v and its linear twin V (theta 1, F ident 1): two windows on one draw

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -383,6 +384,19 @@ class TestRuns:
         assert stdout == ""
         assert err.startswith("error:") and "not finite" in err
         assert not out.exists()
+
+    def test_large_finite_oracle_gap_is_a_verdict(self, tmp_path, capsys):
+        # both fields stay finite at theta = 20; a sweep-to-sweep growth
+        # heuristic once called this a diverging oracle and exited 3
+        rc, out, _ = run_main(
+            ["run", "--experiment", "oracle_check", "--theta", "20",
+             "--diffusion", "affine", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert rc == 1
+        gaps = json.loads(out)["summary"]["max_sup_diff"]
+        assert all(math.isfinite(gaps[n]) and gaps[n] > 1.0 for n in ("8", "16"))
+        assert (tmp_path / "oracle_check.csv").exists()
 
 
     def test_overflow_puts_only_progress_lines_before_the_error(self, tmp_path):
