@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,23 +62,10 @@ ORACLE_THRESHOLDS = {8: 0.10, 16: 0.055}
 _REMAINDER_POINTS = (RotPoint(0.25, 0.25), RotPoint(0.5, 0.5), RotPoint(0.75, 0.25))
 _SLOPE_WINDOW = (1.35, 1.65)
 
-# the model keys each experiment reads: key -> (default, floor or None).
-# Setting a key an experiment does not read is a usage error; seed, out
-# and jobs are read by all.  quadvar_rate's reps default is per part
-# (linear, nonlinear); a set value serves both parts
+# the equation's keys: key -> (default, floor or None); see _EXPERIMENTS
 _MODEL = {"a": (1.0, None), "m": (0.5, None), "theta": (1.0, None),
           "diffusion": ("shifted_sine", None)}
-_SETTINGS = {
-    "green_identities": {},
-    "kernel_lemma": {"n": (256, 64)},
-    "linear_variance": {"a": _MODEL["a"], "m": _MODEL["m"], "n": (256, 64), "reps": (100000, 500)},
-    "remainder_rate": {**_MODEL, "n": (512, 128), "reps": (500, 100)},
-    "quadvar_rate": {**_MODEL, "n": (512, 256), "reps": ((500, 200), 100)},
-    "estimator_consistency": {**_MODEL, "theta": (2.0, None), "n": (512, 128), "reps": (200, 100)},
-    "oracle_check": {**_MODEL, "reps": (5, 1)},
-}
 _KEYS = (*_MODEL, "n", "reps")
-EXPERIMENT_IDS = tuple(_SETTINGS)
 
 
 def _default_jobs() -> int:
@@ -140,7 +128,7 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         f"experiment must be one of {', '.join(EXPERIMENT_IDS)}, "
         f"got {cfg.experiment!r}",
     )
-    table = _SETTINGS[cfg.experiment]
+    table = _EXPERIMENTS[cfg.experiment][1]
     for key in _KEYS:
         _require(key in table or getattr(cfg, key) is None,
                  f"{cfg.experiment} does not read {key}")
@@ -210,14 +198,29 @@ def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
     """worker(seeds) -> (len(seeds), k); rows in seed order for any plan.
 
     With no seeds, worker gets one empty seed array and gives the (0, k) rows.
+    Once a chunk raises, no chunk starts: the threads end with the chunks
+    already running, and the first failure in seed order is raised.
     """
     seeds = np.uint64(master_seed) + np.arange(total, dtype=np.uint64)
     plans = np.split(seeds, np.cumsum(_chunk_sizes(total, jobs))[:-1])
     if jobs <= 1 or len(plans) == 1:
         parts = [worker(p) for p in plans]
     else:
+        failed = threading.Event()
+
+        def chunk(p):
+            # a chunk skipped here lies after the failed one, whose error
+            # pool.map raises before it would reach this chunk's None
+            if failed.is_set():
+                return None
+            try:
+                return worker(p)
+            except BaseException:
+                failed.set()
+                raise
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, plans))
+            parts = list(pool.map(chunk, plans))
     return np.concatenate(parts, axis=0)
 
 
@@ -638,13 +641,13 @@ def _run_oracle_check(cfg: ExperimentConfig, s: dict):
     max_by_n = {}
     for n in (8, 16):
         worst = 0.0
-        for s in range(n_seeds):
-            nf = noise.generate(RotatedGrid(n), cfg.seed + s)
+        for seed in range(cfg.seed, cfg.seed + n_seeds):
+            nf = noise.generate(RotatedGrid(n), seed)
             v = solver.march(params, F, nf)
             u = solver.picard_oracle(params, F, nf)
             sup = float(np.max(np.abs(v.values - u.values)))
             worst = max(worst, sup)
-            rows.append((n, cfg.seed + s, sup, ORACLE_THRESHOLDS[n]))
+            rows.append((n, seed, sup, ORACLE_THRESHOLDS[n]))
         max_by_n[n] = worst
         _progress(f"oracle_check: n={n} worst sup-diff {worst:.3e}")
     below = all(max_by_n[n] <= ORACLE_THRESHOLDS[n] for n in (8, 16))
@@ -663,21 +666,29 @@ def _run_oracle_check(cfg: ExperimentConfig, s: dict):
 # ---------------------------------------------------------------------------
 # driver and serialization
 
-_RUNNERS = {
-    "green_identities": _run_green_identities,
-    "kernel_lemma": _run_kernel_lemma,
-    "linear_variance": _run_linear_variance,
-    "remainder_rate": _run_remainder_rate,
-    "quadvar_rate": _run_quadvar_rate,
-    "estimator_consistency": _run_estimator_consistency,
-    "oracle_check": _run_oracle_check,
+# id -> (runner, the model keys it reads: key -> (default, floor or None)),
+# in the order the CLI help and README list the experiments.  Setting a
+# key an experiment does not read is a usage error; seed, out and jobs
+# are read by all.  quadvar_rate's reps default is per part (linear,
+# nonlinear); a set value serves both parts
+_EXPERIMENTS = {
+    "green_identities": (_run_green_identities, {}),
+    "kernel_lemma": (_run_kernel_lemma, {"n": (256, 64)}),
+    "linear_variance": (_run_linear_variance, {"a": _MODEL["a"], "m": _MODEL["m"],
+                                               "n": (256, 64), "reps": (100000, 500)}),
+    "remainder_rate": (_run_remainder_rate, {**_MODEL, "n": (512, 128), "reps": (500, 100)}),
+    "quadvar_rate": (_run_quadvar_rate, {**_MODEL, "n": (512, 256), "reps": ((500, 200), 100)}),
+    "estimator_consistency": (_run_estimator_consistency, {
+        **_MODEL, "theta": (2.0, None), "n": (512, 128), "reps": (200, 100)}),
+    "oracle_check": (_run_oracle_check, {**_MODEL, "reps": (5, 1)}),
 }
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     settings = validate_config(cfg)
     t0 = time.perf_counter()
-    cols, rows, summary, passed = _RUNNERS[cfg.experiment](cfg, settings)
+    cols, rows, summary, passed = _EXPERIMENTS[cfg.experiment][0](cfg, settings)
     # out and jobs never change results, so they stay out of the echo
     echo = {"experiment": cfg.experiment, **{k: getattr(cfg, k) for k in _KEYS}, "seed": cfg.seed}
     return ExperimentReport(
@@ -724,8 +735,9 @@ def write_csv(report: ExperimentReport, path) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def summary_payload(report: ExperimentReport) -> dict:
-    return {
+def summary_json(report: ExperimentReport) -> str:
+    """Strict JSON: a non-finite number is a numeric failure, never NaN."""
+    payload = {
         "experiment": report.experiment,
         "version": report.version,
         "seed": report.seed,
@@ -734,13 +746,7 @@ def summary_payload(report: ExperimentReport) -> dict:
         "summary": report.summary,
         "wall_time_s": report.wall_time_s,
     }
-
-
-def summary_json(report: ExperimentReport) -> str:
-    """Strict JSON: a non-finite number is a numeric failure, never NaN."""
     try:
-        return json.dumps(
-            summary_payload(report), sort_keys=True, indent=2, allow_nan=False
-        )
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise NumericError("summary holds a non-finite number") from None

@@ -114,8 +114,13 @@ def fourier_green_unified(a: float, m: float, t: float, xi: float) -> float:
     return damp * math.sinh(t * r) / r
 
 
-def _region_integrals(a: float, t: float, eps: float, p: float):
-    """L^p integrals of the kernel second difference, per region.
+def kernel_second_difference_lp(a: float, t: float, eps: float, p: float) -> float:
+    """Integral of |Gamma - Gamma_1 - Gamma_2 + Gamma_3|^p over the cone.
+
+    Gamma_k are the critical kernels shifted to the three earlier
+    stencil apexes.  The result is eps^2 / 2^p plus strip and interior
+    corrections of order eps^(1+p) and eps^(2p).  It does not depend on
+    the apex's spatial position, so that position is not an argument.
 
     Offsets h = tau - sigma, g = lam - mu put the four cone apexes at
     h-shifts {0, eps} x g-shifts {0, eps}; the domain of integration is
@@ -127,11 +132,18 @@ def _region_integrals(a: float, t: float, eps: float, p: float):
       interior D3  (both >= eps):          (1/2)(1 - e^{al eps})^2 e^{-al(h+g)}
 
     with al = a / (2 sqrt(2)).  A strip also carries the sliver where
-    the initial line h + g = S cuts it.  At a = 0 the strips and the
-    interior vanish and the diamond is exactly eps^2 / 2^p.
+    the initial line h + g = S cuts it; D2 equals D1 by the symmetry in
+    (h, g).  At a = 0 the strips and the interior vanish and the
+    diamond is exactly eps^2 / 2^p.
     """
+    if p < 1:
+        raise UsageError(f"p must be at least 1, got {p}")
+    if not (eps > 0 and _SQRT2 * eps < t):
+        raise DomainError(
+            f"need 0 < sqrt(2)*eps < t, got eps={eps}, t={t}"
+        )
     if a == 0.0:
-        return 0.0, 0.0, 0.0, 0.5**p * eps * eps
+        return 0.5**p * eps * eps
     al = a / (2.0 * _SQRT2)
     s_tot = _SQRT2 * t
     q = p * al
@@ -141,27 +153,8 @@ def _region_integrals(a: float, t: float, eps: float, p: float):
         math.exp(-q * eps) * -math.expm1(-q * eps) / q
         - eps * math.exp(-q * s_tot)
     )
-    d2 = d1  # symmetric in (h, g)
     d3 = (0.5 * kappa * kappa) ** p / q * (
         math.exp(-q * eps) * (math.exp(-q * eps) - math.exp(-q * (s_tot - eps))) / q
         - (s_tot - 2.0 * eps) * math.exp(-q * s_tot)
     )
-    return d1, d2, d3, d4
-
-
-def kernel_second_difference_lp(a: float, t: float, eps: float, p: float) -> float:
-    """Integral of |Gamma - Gamma_1 - Gamma_2 + Gamma_3|^p over the cone.
-
-    Gamma_k are the critical kernels shifted to the three earlier
-    stencil apexes.  The result is eps^2 / 2^p plus strip and interior
-    corrections of order eps^(1+p) and eps^(2p).  It does not depend on
-    the apex's spatial position, so that position is not an argument.
-    """
-    if p < 1:
-        raise UsageError(f"p must be at least 1, got {p}")
-    if not (eps > 0 and _SQRT2 * eps < t):
-        raise DomainError(
-            f"need 0 < sqrt(2)*eps < t, got eps={eps}, t={t}"
-        )
-    d1, d2, d3, d4 = _region_integrals(a, t, eps, p)
-    return d1 + d2 + d3 + d4
+    return d1 + d1 + d3 + d4

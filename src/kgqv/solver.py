@@ -111,16 +111,21 @@ def _check_noise(noise: NoiseField) -> None:
         raise UsageError("noise arrays do not match their grid window")
 
 
-def march(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField) -> FieldSample:
-    """March the full nonlinear field over one noise realization."""
+def _stored_march(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField, split=False):
+    """(v,), or with `split` (v_L, v_C), marched over noise's stored arrays, read-only."""
     _check_noise(noise)
     g = noise.grid
-    vals = _kernels.march_window(
-        noise.cells, noise.tris, g.eps, params.a, params.m, params.theta,
-        F.fid, F.p0, F.p1, F(0.0),
-    )
-    vals.setflags(write=False)
-    return FieldSample(g, vals, params)
+    args = (noise.cells, noise.tris, g.eps, params.a, params.m, params.theta,
+            F.fid, F.p0, F.p1, F(0.0))
+    fields = _kernels._march_stored(*args, split=True) if split else [_kernels.march_window(*args)]
+    for v in fields:
+        v.setflags(write=False)
+    return tuple(FieldSample(g, v, params) for v in fields)
+
+
+def march(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField) -> FieldSample:
+    """March the full nonlinear field over one noise realization."""
+    return _stored_march(params, F, noise)[0]
 
 
 def march_linear(params: PhysParams, noise: NoiseField) -> FieldSample:
@@ -139,15 +144,7 @@ def march_split(params: PhysParams, F: DiffusionCoefficient, noise: NoiseField):
     beside it on its bottoms and drive; only the parts are kept.
     Returns (v_L, v_C).
     """
-    _check_noise(noise)
-    g = noise.grid
-    parts = _kernels._march_stored(
-        noise.cells, noise.tris, g.eps, params.a, params.m, params.theta,
-        F.fid, F.p0, F.p1, F(0.0), split=True,
-    )
-    for v in parts:
-        v.setflags(write=False)
-    return tuple(FieldSample(g, v, params) for v in parts)
+    return _stored_march(params, F, noise, split=True)
 
 
 def _cone_sum(x, beta):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqv import _kernels, cli, experiments
+from kgqv import _kernels, cli, experiments, greens, solver
 from kgqv.errors import NumericError
 from kgqv.experiments import EXPERIMENT_IDS, ExperimentReport
 
@@ -537,7 +537,7 @@ INVALID = {
 
 
 def unread_flags(exp):
-    return [f for f in UNREAD if f[2:] not in experiments._SETTINGS[exp]]
+    return [f for f in UNREAD if f[2:] not in experiments._EXPERIMENTS[exp][1]]
 
 
 @st.composite
@@ -546,7 +546,7 @@ def small_configs(draw):
     it does not read some of the time and one flag made invalid half the
     time."""
     exp = draw(st.sampled_from(EXPERIMENT_IDS))
-    table = experiments._SETTINGS[exp]
+    table = experiments._EXPERIMENTS[exp][1]
     flags = {"--experiment": exp}
     for key in ("n", "reps"):
         if key in table:
@@ -630,9 +630,18 @@ class TestReadme:
             got[exp] = cells
         want = {
             exp: [_settings_cell(keys.get(k)) for k in experiments._KEYS]
-            for exp, keys in experiments._SETTINGS.items()
+            for exp, (_, keys) in experiments._EXPERIMENTS.items()
         }
         assert got == want
+
+    def test_id_lists_follow_the_code(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        exps, rest = readme.split("Experiment ids: ", 1)[1].split("Diffusion ids: ", 1)
+        diffusions = rest.split("\n\n", 1)[0]
+        assert tuple(re.findall(r"`(\w+)`", exps)) == EXPERIMENT_IDS
+        assert tuple(re.findall(r"`(\w+)`", diffusions)) == greens.DIFFUSION_IDS
+        # the diffusion menu is declared in both modules
+        assert tuple(solver._FACTORIES) == greens.DIFFUSION_IDS
 
 
 # run the CLI with every scipy import failing, as on a numpy-only install

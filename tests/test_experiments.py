@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -120,9 +121,9 @@ class TestConfigValidation:
         q = experiments.validate_config(ExperimentConfig(experiment="quadvar_rate"))
         assert q["params"].theta == 1.0
 
-    @pytest.mark.parametrize("exp", sorted(experiments._SETTINGS))
+    @pytest.mark.parametrize("exp", sorted(experiments._EXPERIMENTS))
     def test_a_key_the_experiment_does_not_read_is_refused(self, exp):
-        table = experiments._SETTINGS[exp]
+        table = experiments._EXPERIMENTS[exp][1]
         values = {"a": 0.5, "m": 0.5, "theta": 2.0, "diffusion": "affine",
                   "n": 512, "reps": 1000}
         for key, value in values.items():
@@ -207,6 +208,26 @@ class TestSeedRows:
         out = experiments._seed_rows(worker, 5, 0, jobs)
         assert out.shape == (0, 2)
         assert calls == [0]
+
+    def test_a_failed_chunk_starts_no_other(self):
+        # with no stop, the thread whose chunk raised picks up chunk 2
+        total = 4 * experiments._CHUNK
+        assert len(experiments._chunk_sizes(total, 2)) == 4
+        calls = []
+        raised = threading.Event()
+
+        def worker(seeds):
+            calls.append(int(seeds[0]))
+            if seeds[0] == 0:
+                raised.set()
+                raise NumericError("chunk 0 failed")
+            raised.wait(5.0)
+            time.sleep(0.2)  # the other chunk is still running when chunk 0 fails
+            return seeds.astype(float)[:, None]
+
+        with pytest.raises(NumericError, match="chunk 0 failed"):
+            experiments._seed_rows(worker, 0, total, jobs=2)
+        assert len(calls) <= 2, calls
 
     def test_two_jobs_split_the_default_estimator_reps(self):
         # estimator_consistency's 200 default reps fit in one chunk, and
