@@ -1,7 +1,7 @@
 """Counter-based Gaussian lattice noise and anti-diagonal marching kernels.
 
 One vectorized numpy path and one layer loop, _march_layers, the sole
-owner of F's evaluation, the noise drive, the own-bottom schedule and
+owner of F's evaluation, the noise drive, the own-bottom weight and
 the rotation of the layer buffers: every march advances a whole
 anti-diagonal layer at a time through one cell step, _step_np, on
 contiguous buffers reused from layer to layer, and its callers only
@@ -31,27 +31,16 @@ Results are bit-reproducible regardless of window shape, chunking or
 thread schedule, and leave the module only when finite.
 
 The layer loop leaves out the passes that cannot change a bit in the
-experiments' usual models: F ident 1, critical damping and a weight
-of 1.  The loop forms every march's noise drive as (F(bot) w) dW,
-with w = theta/2 on stored increments; on raw normals it folds eps
-into the weight, w = (theta/2) eps, which rounds as (F theta/2)(z eps)
-since every caller's eps is a power of two (unless F theta/2 eps falls
-below the normal range).  F ident 1 is never
-evaluated (the drive is w dW, and march_qv adds its sum of F^2 as a
-count of ones), and neither a weight w of exactly 1 nor the slope of
-shifted_sine at 1 is multiplied in: x * 1.0 is x, bit for bit.  At
-critical damping, a = 2m and every experiment's default, the
-own-bottom weight drh is 0, and from layer 3 on its term is left out
-where beta > 1/2.  Adding 0*bot changes a cell only where the rest of
-its update is exactly -0.0, and turns it +0.0.  That rest is -0.0
-only if beta^2 bot is +0.0 (so bot >= +0 and the term is +0.0 too),
-the drive is -0.0 and beta (A[k] + A[k+1]) is -0.0: both tops are
--0.0, or beta times a negative subnormal rounds to -0.0, which needs
-beta <= 1/2.  Layer 1 holds -0.0 wherever F(0) = 0 and the triangle
-increment is negative, so layer 2 keeps the term; a layer stepped
-with it holds no -0.0, and then neither does a later one stepped
-without it when beta > 1/2.  A bot that is not finite fails the march
-either way.
+experiments' usual models: F ident 1 and a weight of 1.  The loop forms
+every march's noise drive as (F(bot) w) dW, with w = theta/2 on stored
+increments; on raw normals it folds eps into the weight, w = (theta/2)
+eps, which rounds as (F theta/2)(z eps) since every caller's eps is a
+power of two (unless F theta/2 eps falls below the normal range).  F
+ident 1 is never evaluated (the drive is w dW, and march_qv adds its
+sum of F^2 as a count of ones), and neither a weight w of exactly 1
+nor the slope of shifted_sine at 1 is multiplied in: x * 1.0 is x, bit
+for bit.  The drift b v eps^2/2 enters only through the cell's own-bottom
+weight beta^2 - drh, with drh = b eps^2/2, formed once per window.
 
 Noise convention: the standard normal attached to lattice index (i, j)
 and stream `kind` comes from the Philox4x32-10 block with counter
@@ -158,16 +147,14 @@ def _finite(*arrays):
 
 
 def _rates(eps, a, m, theta):
-    """Cell decay beta, noise weight theta/2 and own-bottom weights.
+    """Cell decay beta, noise weight theta/2 and drift weight drh = b eps^2/2.
 
-    The own-bottom weight drh = b eps^2/2 comes twice: for layer 2, and
-    for every later layer, where it is None if adding drh*bot cannot
-    change a bit there: drh is 0, as at critical damping a = 2m, and
-    beta > 1/2 (the module docstring says why).
+    drh is 0 at critical damping a = 2m; the cell's own-bottom weight is
+    beta^2 - drh.
     """
     beta = math.exp(-a * eps / (2.0 * _SQRT2))
     drh = 0.5 * (0.25 * a * a - m * m) * eps * eps
-    return beta, 0.5 * theta, drh, None if drh == 0.0 and beta > 0.5 else drh
+    return beta, 0.5 * theta, drh
 
 
 def _f_eval_np(fid, p0, p1, x, out=None):
@@ -442,26 +429,21 @@ def cell_normals(seeds, pts_i, pts_j):
     return z[np.arange(i.shape[0]), i & 1].T
 
 
-def _step_np(X, A, B, c, drive, beta, beta2, drh, tmp):
-    """X[:c] = beta*(A[k]+A[k+1]) - beta2*bot + drive (+ drh*bot), in place.
+def _step_np(X, A, B, c, drive, beta, own, tmp):
+    """X[:c] = beta*(A[k]+A[k+1]) - own*bot + drive, in place.
 
     The one cell update: _march_layers' on contiguous (slot, ...)
-    buffers, rows being slots k of a layer and bot = B[k+1], and that
-    of split's side march on (slot, part) buffers.  drh=None leaves out
-    the own-bottom term: where leaving it out cannot change a bit (see
-    _rates), and in the side march, whose parts v_L and v_C have none.
+    buffers, rows being slots k of a layer and bot = B[k+1], with the
+    own-bottom weight own = beta^2 - drh, and that of split's side
+    march on (slot, part) buffers, whose parts step with own = beta^2.
     """
     x = X[:c]
     t = tmp[:c]
-    bot = B[1 : c + 1]
     np.add(A[:c], A[1 : c + 1], out=x)
     x *= beta
-    np.multiply(bot, beta2, out=t)
+    np.multiply(B[1 : c + 1], own, out=t)
     x -= t
     x += drive
-    if drh is not None:
-        np.multiply(bot, drh, out=t)
-        x += t
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +475,7 @@ def _march_layers(windows, z1, draws, scaled=False):
     marches = []
     for w, (L, i_min, eps, a, m, theta, fid, p0, p1, f0) in enumerate(windows):
         o = i_min - i0  # the window's first row in the widest window's noise
-        beta, th2, drh2, drh = _rates(eps, a, m, theta)
+        beta, th2, drh = _rates(eps, a, m, theta)
         tri, weight = (1.0, th2) if scaled else (eps / _SQRT2, th2 * eps)
         B, A, X = field = [np.zeros((L + 1, *z1.shape[1:])) for _ in range(3)]
         # layer 1, grouped as (theta/2 F(0)) (tri z) on raw and stored
@@ -501,10 +483,10 @@ def _march_layers(windows, z1, draws, scaled=False):
         A[: L - 1] = (th2 * f0) * (tri * z1[o : o + L - 1])
         yield w, 1, A, B, X, None, None  # the layers below 1 are zero
         coef = None if fid == FID_CONSTANT_ONE else (fid, p0, p1)
-        marches.append((L, o, weight, beta, beta * beta, drh2, drh, coef, field))
+        marches.append((L, o, weight, beta, beta * beta - drh, coef, field))
     for s in range(2, L0):
         z = next(draws)
-        for w, (L, o, weight, beta, beta2, drh2, drh, coef, field) in enumerate(marches):
+        for w, (L, o, weight, beta, own, coef, field) in enumerate(marches):
             if s >= L:
                 continue
             c = L - s
@@ -519,7 +501,7 @@ def _march_layers(windows, z1, draws, scaled=False):
             else:
                 np.multiply(fb, weight, out=drive)
                 drive *= dW
-            _step_np(X, A, B, c, drive, beta, beta2, drh2 if s == 2 else drh, tmp)
+            _step_np(X, A, B, c, drive, beta, own, tmp)
             yield w, s, X, A, B, fb, drive
             field[:] = A, X, B
 
@@ -562,24 +544,21 @@ def _stored_rows(cells):
 def _split_parts(layers, L, eps, a, m, theta):
     """Layers (w, s, [v_L, v_C]) of split's side march beside v's layers.
 
-    v_C steps on v's noise drive and v_L on the drift drive (1/2)(b
-    v(bottom)) eps^2, as the columns of (slot, part) buffers.  Neither
-    gains v's own-bottom term drh*bot, so v_L + v_C reproduces v to
-    round-off and no 0*bot turns a part's -0.0 into +0.0.
+    v_C steps on v's noise drive and v_L on the drift drive drh v(bottom),
+    as the columns of (slot, part) buffers, both with own-bottom weight
+    beta^2.  v steps with beta^2 - drh on the same drh, so v_L + v_C
+    reproduces v to round-off.
     """
-    beta = _rates(eps, a, m, theta)[0]
-    bcoef = 0.25 * a * a - m * m
+    beta, _, drh = _rates(eps, a, m, theta)
     B, A, X, drive, tmp = (np.zeros((L + 1, 2)) for _ in range(5))
     for w, s, v, _, vb, _, d in layers:
         c = L - s
         if s == 1:
             X[:c, 1] = v[:c]  # v_C starts from v's layer 1, v_L from zero
         else:
-            b = np.multiply(vb[1 : c + 1], bcoef, out=drive[:c, 0])
-            for f in (0.5, eps, eps):  # ((b bot) 1/2) eps eps
-                b *= f
+            np.multiply(vb[1 : c + 1], drh, out=drive[:c, 0])
             drive[:c, 1] = d
-            _step_np(X, A, B, c, drive[:c], beta, beta * beta, None, tmp)
+            _step_np(X, A, B, c, drive[:c], beta, beta * beta, tmp)
         yield w, s, X
         B, A, X = A, X, B
 

@@ -434,12 +434,12 @@ RUN_SHA256 = {
     # at the default reps (500 linear, 200 nonlinear) the seeds from 200 on
     # march the linear part alone
     ("quadvar_rate", "--n", "256"): (
-        "3b1f052d73bcea7e26f4ed167f66a602e66e6515bd8ad1a1db96ce3150f3fdbc",
-        "765adae57d2023255016dd9a4085603d1ff840d3aefe03dbd6821d7378a0261f",
+        "706a35ef9734cbb2cb7e39d2f79477f3de6dc61b11ba6b2316f2810bf89cd009",
+        "78ef41be66004635a31c2efadc3eedb49ce6a1f276863b0cdd618862bc27cfb7",
     ),
     ("quadvar_rate", "--n", "256", "--reps", "100"): (
-        "b06559c5bba1d16b1372936f88528029af0decb3ea41aa857e0260c545fcb9e4",
-        "1d2aa998b0f6226cf21861915df11743731db66cd1015756b0a045d47e1da93b",
+        "6be367bd02885e614b437f8be4f8f1fd4880f8690e615d2b850f6a8d0a8dbc18",
+        "5fdc633d7f15347c11cf1773cd8b57600ec5813654cd6da047b4ae9f9de163f9",
     ),
     ("estimator_consistency", "--n", "128", "--reps", "100"): (
         "5b793e1ef12071f381eb4327fe8e06550e042dae44cd19d60f4c93a591db3f42",

@@ -382,14 +382,14 @@ def test_march_qv_rows_match_recorded(N, F):
 
 
 # SHA-256 of the marches on models whose cell update the pins above do not
-# reach (numpy 2.4): a nonzero own-bottom weight drh (hyperbolic damping),
+# reach (numpy 2.4): a nonzero drift weight drh (hyperbolic damping),
 # beta = 1 (no damping), theta 0.7, an F whose slope is not 1 or whose
 # offset is not 2, and noise weights of exactly 1: theta 2 makes the stored
 # march's theta/2 one, and theta 2n the replication kernels' theta eps / 2.
 # affine(0, 1) has F(0) = 0, so its fields are signed zeros throughout,
-# -0.0 on layer 1 wherever the triangle increment is negative: at critical
-# damping the zero own-bottom term must still turn layer 2's -0.0 into
-# +0.0; at a = 32 (beta < 1/2) the term stays on every layer.
+# -0.0 on layer 1 wherever the triangle increment is negative; at critical
+# damping, with beta > 1/2 (a = 1) and beta < 1/2 (a = 32), the one-pass
+# update keeps the -0.0 that its tops and drive leave, as no 0*bot is added.
 # "points" is march_points with its linear twin on the window of the
 # POINTS_SHA256 pins, "qv" march_qv on [0, n]^2, both for 64 seeds, and
 # "window" march and march_split over noise.generate's arrays for one seed
@@ -408,9 +408,9 @@ BRANCH_MODELS = {
 }
 BRANCH_SHA256 = {
     ("points", "hyperbolic"):
-        "017d125fdab6d0eabaf18a296f106fce16f69600ec736082e71b2df225e53b03",
+        "2c70d92215eb248d060fa462af2b83c5c9d98bd2d887e93b7fb69d6fee896d35",
     ("points", "undamped"):
-        "371f751f9d99030dc3d46ed741882f10b823c6b62780fb456595a76438d8ac17",
+        "83d26aa433a23a0fc791a2b2d08270fbbd5fcc11df98df200b69a8ed85e71032",
     ("points", "theta 0.7"):
         "8120ce7cbbafd017fa52d5861a6ceaacb3ffba0d95982e719cb9835462f3aa9a",
     ("points", "sine(2, 0.5)"):
@@ -418,9 +418,9 @@ BRANCH_SHA256 = {
     ("points", "affine(0.3, 1)"):
         "6340b6db7e4120ed597784741fd2a8b6b88931ad509007567b433f38f05d6248",
     ("points", "affine(0, 1), a 32"):
-        "7fc319c7ff425cbce0cc46d3f362ef390ea914789e30b13b272a14d0ed6e85b6",
+        "be5d04be007559998a12775e9afc9f036b03115ab25f214b316282f8c8323d3b",
     ("points", "affine(0, 1)"):
-        "a52d1f987178e0025baee21f639663becccb6fc7dd6792fce78e0ed776625b48",
+        "d1173e3072fb3761645509821f6dbb81e87114932e915806b65396508c03690d",
     ("points", "theta 2, F 1"):
         "697e11f1157a7dcd157a0cb856fabead07378a5af0f798e700d635207888c8e4",
     ("points", "theta 2"):
@@ -430,9 +430,9 @@ BRANCH_SHA256 = {
     ("points", "theta 32"):
         "bacd568006e857026da7396b0f1e50ba0fea3d0b7a7f6fddfd9bf2d81ceccc67",
     ("qv", "hyperbolic"):
-        "bdae2e6b6d4c85393008ae4c1b0bcdf4db4d68f6680803a6589d113fbbb1c04f",
+        "d34560089dbd761c9f00c58cff334ea8b35135b4974730dbf813108978e5ada9",
     ("qv", "undamped"):
-        "49d95ab23481bdef2942f66f43197c0e213e3da9421d3e6b0e5a3837e1d40aa6",
+        "c88f2fbfb0ef97223153e1d15bb703bf729052ef4ab5c8d6c31b51afb48eb569",
     ("qv", "theta 0.7"):
         "afc13fb5f960fab2c784d43056046755086f2d5b17b86bb275bf8b4ced6f8977",
     ("qv", "sine(2, 0.5)"):
@@ -452,9 +452,9 @@ BRANCH_SHA256 = {
     ("qv", "theta 32"):
         "4e4d2df354ae7f62e9bc4c58a142d806841db991f4bd63f0b80f8f53127f645a",
     ("window", "hyperbolic"):
-        "5271011bbc43c425dab338fc5bb7554000dbef22ec9debe464335a60672acfad",
+        "be2697a1cfad0396050ca191655234239212ee8dbba9ec1048fdb2e986d5aa9b",
     ("window", "undamped"):
-        "0b96a8db7ccabd23df9bccfc2e40525b4b253f40435866f5fc257ce4d523e221",
+        "34a14ff1da64e890b76c080e8be46331d2a757461f3d044e42e6f9b1ad2b7e87",
     ("window", "theta 0.7"):
         "fdc47f9515e3602df1b97eddf938178245afb8e909c764d6bd824767ddc50a50",
     ("window", "sine(2, 0.5)"):
@@ -462,9 +462,9 @@ BRANCH_SHA256 = {
     ("window", "affine(0.3, 1)"):
         "3eaf1bf34b15992c8b49ff65567b8ea93dc70ca30ee12569a4ae2d18aba7ebb5",
     ("window", "affine(0, 1), a 32"):
-        "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
+        "7a0edc4e78fe92251f574cbf1f5255341b57fc29ca6f0cae7c81fed113e94691",
     ("window", "affine(0, 1)"):
-        "da206a850065a2a5abf8d17a3b494cf778be48f74a4c12e1e09b8e17aa8eef30",
+        "7a0edc4e78fe92251f574cbf1f5255341b57fc29ca6f0cae7c81fed113e94691",
     ("window", "theta 2, F 1"):
         "8cfaa3c84ef10c9614ddd726d535a74401f8dda89d6877aa0fb42a603357b77f",
     ("window", "theta 2"):

@@ -1,9 +1,12 @@
 """Marching scheme, field splitting, and the fixed-point oracle.
 
-The main oracles here are two deliberately naive replays of the
-defining recursion, written in this file and compared against the
-production kernels: brute_march, a dictionary-based replay of the
-field, and cell_loop, a cell-by-cell march of the field and its parts.
+The main oracles here are deliberately naive replays of the defining
+recursion, written in this file and compared against the production
+kernels: brute_march, a dictionary-based replay of the field, and
+cell_loop, a cell-by-cell march of the field and its parts, which
+group the update as the kernels do, and two_pass_march, which adds the
+drift term last and so checks the kernels' one bottom weight to a
+tolerance.
 Variance checks for the linear field use the exact discrete weight
 sums and, in the critically damped case, the closed form
 (1/4)(1 - e^(-cS)(1 + cS))/c^2 with c = a/sqrt(2) and S = tau + lambda.
@@ -43,9 +46,9 @@ def brute_march(params, F, nf):
     g = nf.grid
     eps = g.eps
     beta = math.exp(-params.a * eps / (2.0 * SQRT2))
-    beta2 = beta * beta
     th2 = 0.5 * params.theta
     drh = 0.5 * (0.25 * params.a * params.a - params.m * params.m) * eps * eps
+    own = beta * beta - drh
     vals = {}
     for i in range(g.i_min, g.i_max + 1):
         if g.contains_index(i, -i):
@@ -62,9 +65,8 @@ def brute_march(params, F, nf):
             bot = vals[(i - 1, j - 1)]
             vals[(i, j)] = (
                 beta * (vals[(i - 1, j)] + vals[(i, j - 1)])
-                - beta2 * bot
+                - own * bot
                 + th2 * F(bot) * nf.increment_over_cell(i - 1, j - 1)
-                + drh * bot
             )
     return vals
 
@@ -73,9 +75,10 @@ def cell_loop(params, F, nf):
     """v and its parts v_L, v_C on the full window, one cell at a time.
 
     Groups every update as _kernels._step_np documents:
-    ((beta*(A + A') - beta2*bot) + drive) + drh*bot for v, with drive =
-    (F(bot)*theta/2)*dW; v_C takes the same drive and v_L the drive
-    (1/2)(b bot) eps^2, both from v's bottom, and neither has a drh term.
+    (beta*(A + A') - own*bot) + drive, with own = beta^2 - drh for v and
+    beta^2 for its parts, drh = b eps^2/2 as _kernels._rates forms it.
+    v and v_C take the drive (F(bot)*theta/2)*dW and v_L the drive
+    drh*bot, both from v's bottom.
     """
     g = nf.grid
     L = g.shape[0]
@@ -83,13 +86,12 @@ def cell_loop(params, F, nf):
     beta = math.exp(-params.a * eps / (2.0 * SQRT2))
     beta2 = beta * beta
     th2 = 0.5 * params.theta
-    b = params.drift_coef
-    drh = 0.5 * b * eps * eps
+    drh = 0.5 * params.drift_coef * eps * eps
     cells = nf.cells.tolist()
     v, v_l, v_c = ([[0.0] * L for _ in range(L)] for _ in range(3))
 
-    def step(f, ii, jj, drive):
-        return beta * (f[ii - 1][jj] + f[ii][jj - 1]) - beta2 * f[ii - 1][jj - 1] + drive
+    def step(f, ii, jj, own, drive):
+        return beta * (f[ii - 1][jj] + f[ii][jj - 1]) - own * f[ii - 1][jj - 1] + drive
 
     for k in range(L - 1):
         v[1 + k][L - 1 - k] = v_c[1 + k][L - 1 - k] = (th2 * F(0.0)) * float(nf.tris[k])
@@ -98,9 +100,9 @@ def cell_loop(params, F, nf):
             ii, jj = s + k, L - 1 - k
             bot = v[ii - 1][jj - 1]
             noise_drive = F(bot) * th2 * cells[ii - 1][jj - 1]
-            v[ii][jj] = step(v, ii, jj, noise_drive) + drh * bot
-            v_c[ii][jj] = step(v_c, ii, jj, noise_drive)
-            v_l[ii][jj] = step(v_l, ii, jj, 0.5 * (b * bot) * eps * eps)
+            v[ii][jj] = step(v, ii, jj, beta2 - drh, noise_drive)
+            v_c[ii][jj] = step(v_c, ii, jj, beta2, noise_drive)
+            v_l[ii][jj] = step(v_l, ii, jj, beta2, drh * bot)
     v, v_l, v_c = (np.array(f) for f in (v, v_l, v_c))
     return v, v_l, v_c
 
@@ -231,10 +233,10 @@ class TestMarchAgainstReplay:
     def test_twin_paths_agree(self):
         # the stored-window marches against their plain-Python cell loop,
         # byte for byte, for an affine and a clipped coefficient and for
-        # the layer loop's branches: critical damping (drh = 0, left out
-        # from layer 3 on), beta <= 1/2 (a = 32 at n = 16, drh kept), a
-        # stored weight theta/2 of exactly 1, the signed zeros of F(u) = u
-        # and a < 0
+        # the models the cell update meets: critical damping (drh = 0, an
+        # own-bottom weight of beta^2), beta <= 1/2 (a = 32 at n = 16), a
+        # stored weight theta/2 of exactly 1, the signed zeros of F(u) = u,
+        # which v and its parts keep alike, and a < 0
         nf = noise.generate(RotatedGrid(16), 4)
         for params, F in (
             (PhysParams(a=1.5, m=0.4, theta=1.3, diffusion_id="affine"), affine(0.7, 0.9)),
@@ -257,11 +259,11 @@ class TestMarchAgainstReplay:
             V, _, _ = cell_loop(lin, constant_one(), nf)
             assert march_linear(params, nf).values.tobytes() == V.tobytes()
 
-    def test_critical_damping_keeps_drh_at_small_beta(self):
-        # at critical damping drh is 0, and the loop may leave out drh*bot
-        # only while beta > 1/2: here beta = exp(-1/sqrt 2) ~ 0.493 rounds
-        # beta times the denormal -5e-324 to -0.0, the -0.0 increment keeps
-        # that step at -0.0, and only the added 0*bot makes it +0.0
+    def test_small_beta_signed_zeros_match_cell_loop(self):
+        # at critical damping beta = exp(-1/sqrt 2) ~ 0.493 < 1/2 rounds
+        # beta times the negative subnormal -5e-324 to -0.0, and the -0.0
+        # increment keeps that cell's update at -0.0: the one-pass update
+        # must give the subnormal and the -0.0 exactly as cell_loop does
         g = RotatedGrid(2)  # L = 5
         cells = np.zeros(g.shape)
         cells[1, 3] = -5e-324
@@ -274,8 +276,8 @@ class TestMarchAgainstReplay:
 
 # SHA-256 of the bytes of march, march_linear and march_split (v_L, v_C)
 # values, in that order, at PINNED_PARAMS.  F(u) = u keeps every field at
-# a pattern of signed zeros, so that case pins the -0.0 the split parts
-# keep (they never add 0*bot).  Recorded with numpy 2.4 (see test_noise)
+# a pattern of signed zeros, so that case pins the -0.0 that v and its
+# parts keep (no update adds 0*bot).  Recorded with numpy 2.4 (see test_noise)
 PINNED_PARAMS = PhysParams(a=1.0, m=0.7, theta=1.5)
 PINNED_COEFFICIENTS = {
     "shifted_sine": shifted_sine(),
@@ -284,29 +286,29 @@ PINNED_COEFFICIENTS = {
 }
 MARCH_SHA256 = {
     ((64,), 0, "shifted_sine"):
-        "312025342e17fa612336e0a2644e3f166220e252719ad3c9ff885f5586dd22ab",
+        "094638771fdf10ea41b24e6a922d7c41f7d366c07b0911fdf9d68e5ea823218e",
     ((64,), 0, "affine"):
-        "7b72204d485f5a1f14f070eebe4d6d0489d6969227063d0e29e6268a8e8a1b42",
+        "eece94a60f1db312e5be71b87207df4d4ccbc11356eaed2ef8bf0d0f65c83f75",
     ((64,), 0, "affine(0, 1)"):
-        "483384edf2c6402637fe312c90cde1cb66486f9f5db040783b066138ad31e6e3",
+        "82e12b68c90f83b1e7dafcb66c77d113006d8be92080896b8ea583ae52fc776a",
     ((64,), 2**64 - 1, "shifted_sine"):
-        "94fa5eb4d1a8fdd5f8596d5cdb58ad134f3f5a5495d8ebe18bfed0d8e0ba3a1e",
+        "5090a3bb0100be69404649cddae54ebf640e070380a4b2bb03c8e0e13ec2d501",
     ((64,), 2**64 - 1, "affine"):
-        "0229241c620d3fec6e8965e5f33750fca1fcdb30229cb9297df62730dbab396a",
+        "0c49ec3f2805e91914eafeeb5fc2f29fed165dc384d478e85296f10c89faa27e",
     ((64,), 2**64 - 1, "affine(0, 1)"):
-        "a06e6abdd80b5de5dfd82ca029d9f240cc601c15eeb2f2e1a56e5bba5c1c06ce",
+        "012483ee8f01e332a0fa411a634d0cebed47eb2f82cdc8ecd9cddeff9755435d",
     ((16, 3, 9), 0, "shifted_sine"):
-        "55e76f03fcc2073bf8c4b468effbe34f56168d01aed9ccd739ef56c7e47374ac",
+        "95e67a01fd6c971dbd78959695cca9923907eb4934657a44fc3ca33529db9ef4",
     ((16, 3, 9), 0, "affine"):
-        "62ae7f6cf4111e35d7267bd1c63c947d22b6f8b7bb8bf02f8ce4011d6041efdd",
+        "234bd7abd2c74b8589064d6c0e7e6eb069511b137f7d279b2ea86bcee5e9d398",
     ((16, 3, 9), 0, "affine(0, 1)"):
-        "09c97ba1a93566d8c7e6870ed8c18ddf1886992649503b69755d1a27a2e2be9d",
+        "0509744159ddfa013602fce053ba7259daeabefb8d7939bf3369f120db1bfa2f",
     ((16, 3, 9), 2**64 - 1, "shifted_sine"):
-        "64c935fad5bbb9ae74aec2f8230ea6713633a1f034de2c6ea0fb9cd83232d709",
+        "133c4fc22057815f721df115e9719f61558963d1de2676cfee5ce76717ffc64c",
     ((16, 3, 9), 2**64 - 1, "affine"):
-        "a6d8ab5bec09dcafa96eef4bb6b4829fd3d2d449c00cfb57d8046ea037dd5303",
+        "f85bfbfd95cf26b21dc11a5de495c7dbbcae574f8ed27b722d3e31db464fb569",
     ((16, 3, 9), 2**64 - 1, "affine(0, 1)"):
-        "f39d0fd8933387baf8d04ba407abb4d8a9ca691f5bfd34b7f2c206721f26c5bf",
+        "043ab4c8ab9e32867ceff9931ed68899c75594f797a6f9d52275f4da24106990",
 }
 
 
@@ -320,6 +322,51 @@ def test_stored_march_bytes_match_recorded_hash(key):
     fields = (march(PINNED_PARAMS, F, nf), march_linear(PINNED_PARAMS, nf), v_l, v_c)
     digest = hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest()
     assert digest == MARCH_SHA256[key]
+
+
+def two_pass_march(params, F, nf):
+    """v with the drift added last, one cell at a time.
+
+    Groups every update as ((beta*(A + A') - beta^2*bot) + drive) +
+    drh*bot: the drift weight drh = b eps^2/2 in a pass of its own, not
+    folded into the bottom weight as the kernels, brute_march and
+    cell_loop fold it.  It rounds differently from them, so it is
+    compared to a tolerance, which a wrong fold cannot meet.
+    """
+    g = nf.grid
+    L = g.shape[0]
+    eps = g.eps
+    beta = math.exp(-params.a * eps / (2.0 * SQRT2))
+    th2 = 0.5 * params.theta
+    drh = 0.5 * params.drift_coef * eps * eps
+    cells = nf.cells.tolist()
+    v = [[0.0] * L for _ in range(L)]
+    for k in range(L - 1):
+        v[1 + k][L - 1 - k] = (th2 * F(0.0)) * float(nf.tris[k])
+    for s in range(2, L):
+        for k in range(L - s):
+            ii, jj = s + k, L - 1 - k
+            bot = v[ii - 1][jj - 1]
+            rest = beta * (v[ii - 1][jj] + v[ii][jj - 1]) - beta * beta * bot
+            v[ii][jj] = rest + F(bot) * th2 * cells[ii - 1][jj - 1] + drh * bot
+    return np.array(v)
+
+
+@pytest.mark.parametrize("a,m", [(1.0, 0.7), (2.0, 0.25), (0.0, 1.0), (-1.0, 0.3)])
+def test_one_bottom_weight_matches_the_two_pass_update(a, m):
+    # march, march_linear and v_L + v_C against the update with drh*bot
+    # added last, at PINNED_PARAMS and three more models with drh != 0
+    nf = noise.generate(RotatedGrid(32), 5)
+    lin = PhysParams(a=a, m=m, theta=1.0, diffusion_id="constant_one")
+    V = march_linear(lin, nf).values
+    assert np.max(np.abs(V - two_pass_march(lin, constant_one(), nf))) <= 1e-13 * np.max(np.abs(V))
+    for F in (shifted_sine(), affine()):
+        params = PhysParams(a=a, m=m, theta=PINNED_PARAMS.theta, diffusion_id=F.id)
+        want = two_pass_march(params, F, nf)
+        v_l, v_c = march_split(params, F, nf)
+        bound = 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(march(params, F, nf).values - want)) <= bound
+        assert np.max(np.abs(v_l.values + v_c.values - want)) <= bound
 
 
 class TestFieldSample:
