@@ -28,7 +28,7 @@ The [0,N]^2 windows (L = 2N + 1, i_min = -N) nest for every N up to
 the widest, and so do linear_variance's stencil windows at (1/2, 1/2)
 (L = n + 3, i_min = -(n/2 + 1)) for every n up to the finest.
 Results are bit-reproducible regardless of window shape, chunking or
-thread schedule, and leave the module only when finite.
+the process that marches a chunk, and leave the module only when finite.
 
 The layer loop leaves out the passes that cannot change a bit in the
 experiments' usual models: F ident 1 and a weight of 1.  The loop forms

@@ -4,8 +4,8 @@
 config file plus flags (flags win), runs the experiment, writes one CSV
 into the output directory, and prints the JSON summary on stdout.
 Progress goes to stderr.  Exit codes: 0 all bounds met, 1 a bound
-failed, 2 usage problem (a help request included), 3 numeric failure
-or arrays too large to allocate.
+failed, 2 usage problem (a help request included), 3 numeric failure,
+arrays too large to allocate, or a worker process that died.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _RUN_KEYS = {
     "reps": (int, "replications per configuration"),
     "seed": (int, "master seed"),
     "out": (str, "output directory for the CSV"),
-    "jobs": (int, "worker threads (default: the CPUs this process may run on)"),
+    "jobs": (int, "worker processes (default: the CPUs this process may run on)"),
 }
 # a config-file value of each key type, as the error messages name it
 _KINDS = {float: "a number", int: "an integer", str: "a string"}

@@ -3,11 +3,13 @@
 Every experiment is a pure function of its config.  Replications are
 keyed by seed = master_seed + replication index, a 64-bit Philox key,
 and run in contiguous chunks of at most _CHUNK seeds: a multiple of
---jobs chunks whose sizes differ by at most one, so every thread gets
-the same share.  Each replication's row does not depend on the chunk
-it sits in, and chunk results are concatenated in index order and
-reduced with numpy's pairwise summation, so emitted bytes do not
-depend on the plan or on --jobs.  Only the wall_time_s field of the
+--jobs chunks whose sizes differ by at most one, so every worker gets
+the same share.  At --jobs >= 2 the chunks run on forked worker
+processes where the platform can fork, and serially where it cannot.
+Each replication's row does not depend on the chunk it sits in or the
+process that marched it, and chunk results are concatenated in index
+order and reduced with numpy's pairwise summation, so emitted bytes do
+not depend on the plan or on --jobs.  Only the wall_time_s field of the
 summary is volatile.
 """
 
@@ -17,9 +19,7 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import __version__, _kernels, analysis, noise, solver
 from .coords import (
     SQRT2, PhysPoint, RotatedGrid, RotPoint, original_coord_diff, to_physical, to_rotated,
 )
-from .errors import NumericError, UsageError
+from .errors import KgqvError, NumericError, UsageError
 from .greens import (
     PhysParams,
     fourier_green_branch,
@@ -37,7 +37,7 @@ from .greens import (
 )
 
 # largest replication chunk: memory bound for the layer buffers and
-# the largest work unit handed to a thread (see _chunk_sizes); results
+# the largest work unit handed to a worker (see _chunk_sizes); results
 # are chunk-size independent by construction.
 # n=256 linear_variance march on a 2-core Xeon: 128 to 384 seeds per
 # chunk cost the same per replication within run-to-run noise, 64 is
@@ -45,10 +45,10 @@ from .greens import (
 # 5-25% slower
 _CHUNK = 256
 
-# the most threads --jobs may ask for.  With jobs >= reps every seed is a
-# chunk of its own, one thread each, so an unbounded --jobs could ask for
-# tens of thousands of threads, and a failed thread start would end the
-# run in a traceback; a larger --jobs is a usage error (exit 2) instead
+# the most worker processes --jobs may ask for.  With jobs >= reps every
+# seed is a chunk of its own, one worker each, so an unbounded --jobs
+# could fork tens of thousands of processes, and a failed fork would end
+# the run in a traceback; a larger --jobs is a usage error (exit 2) instead
 MAX_JOBS = 256
 
 # marching-scheme vs fixed-point-oracle sup-norm ceilings: measured
@@ -198,30 +198,73 @@ def _seed_rows(worker, master_seed: int, total: int, jobs: int) -> np.ndarray:
     """worker(seeds) -> (len(seeds), k); rows in seed order for any plan.
 
     With no seeds, worker gets one empty seed array and gives the (0, k) rows.
-    Once a chunk raises, no chunk starts: the threads end with the chunks
-    already running, and the first failure in seed order is raised.
+    At jobs >= 2 and more than one chunk, the chunks run on a pool of
+    forked worker processes (serially where the platform cannot fork).
+    Once a chunk raises, no chunk starts, and the first failure in seed
+    order is raised, or a KgqvError if a worker dies (say, by the OOM
+    killer); leaving the pool, by a return, an exception or a Ctrl-C,
+    terminates and joins every worker.
     """
     seeds = np.uint64(master_seed) + np.arange(total, dtype=np.uint64)
     plans = np.split(seeds, np.cumsum(_chunk_sizes(total, jobs))[:-1])
-    if jobs <= 1 or len(plans) == 1:
-        parts = [worker(p) for p in plans]
-    else:
-        failed = threading.Event()
+    if jobs >= 2 and len(plans) > 1:
+        import multiprocessing
 
-        def chunk(p):
-            # a chunk skipped here lies after the failed one, whose error
-            # pool.map raises before it would reach this chunk's None
-            if failed.is_set():
-                return None
-            try:
-                return worker(p)
-            except BaseException:
-                failed.set()
-                raise
+        if "fork" in multiprocessing.get_all_start_methods():
+            return np.concatenate(_forked_parts(multiprocessing.get_context("fork"),
+                                                worker, plans, jobs), axis=0)
+    return np.concatenate([worker(p) for p in plans], axis=0)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(chunk, plans))
-    return np.concatenate(parts, axis=0)
+
+# (worker, plans, stop) while a forked pool runs _seed_rows' chunks: the
+# workers inherit it at the fork, so the worker closure is never pickled
+_FORKED = None
+
+
+def _forked_chunk(k: int):
+    worker, plans, stop = _FORKED
+    # a chunk skipped here lies after the failed one, whose error
+    # imap raises before it would reach this chunk's None
+    if stop.is_set():
+        return None
+    try:
+        return worker(plans[k])
+    except BaseException:
+        stop.set()
+        raise
+
+
+def _forked_parts(ctx, worker, plans, jobs: int) -> list:
+    """worker(p) for every p of plans, in plan order, on min(jobs, len(plans)) forks."""
+    import signal
+
+    global _FORKED
+    # a child would write out its copy of an unflushed buffer when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    _FORKED = (worker, plans, ctx.Event())
+    others = set(ctx.active_children())
+    try:
+        # the workers ignore SIGINT: a Ctrl-C reaches this process, and
+        # leaving the with block terminates them
+        with ctx.Pool(min(jobs, len(plans)), signal.signal,
+                      (signal.SIGINT, signal.SIG_IGN)) as pool:
+            workers = set(ctx.active_children()) - others
+            results = pool.imap(_forked_chunk, range(len(plans)))
+            parts = []
+            while len(parts) < len(plans):
+                try:
+                    parts.append(results.next(timeout=1.0))
+                except ctx.TimeoutError:
+                    # the pool replaces a killed worker, and would wait
+                    # for its chunk forever
+                    for p in workers:
+                        if p.exitcode is not None:
+                            raise KgqvError(f"worker process {p.pid} ended before the chunks "
+                                            f"were done (exit code {p.exitcode})") from None
+            return parts
+    finally:
+        _FORKED = None
 
 
 def _plan_rows(cfg: ExperimentConfig, plan, march) -> list:

@@ -6,10 +6,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -144,14 +147,14 @@ class TestUsageErrors:
         assert err == f"error: out {out} cannot be a directory: {blocker} is not one\n"
         assert blocker.read_text() == "kept"
 
-    def test_jobs_past_the_ceiling_exit_two_before_any_thread(
+    def test_jobs_past_the_ceiling_exit_two_before_any_worker(
         self, tmp_path, capsys, monkeypatch
     ):
-        # --jobs past the reps would hand every seed a thread of its own
+        # --jobs past the reps would hand every seed a worker of its own
         def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+            raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_forked_parts", no_pool)
         rc, out, err = run_main(
             ["run", "--experiment", "linear_variance", "--n", "64", "--reps", "500",
              "--jobs", "100000", "--out", str(tmp_path)],
@@ -403,7 +406,8 @@ class TestRuns:
         # the summary statistics overflow at theta = 1e200; numpy's warnings
         # used to land on stderr between the progress line and the error.
         # A fresh process shows them: pytest would record them instead.
-        # Two threads march the chunks, and the error still comes last
+        # Two forked workers march the chunks; the error still comes last,
+        # and no worker writes out its copy of a progress line
         for exp in ("remainder_rate", "estimator_consistency"):
             r = run_proc(
                 ["run", "--experiment", exp, "--n", "128", "--reps", "100",
@@ -413,7 +417,33 @@ class TestRuns:
             assert r.stdout == ""
             *progress, last = r.stderr.splitlines()
             assert progress and all(line.startswith(f"{exp}:") for line in progress), r.stderr
+            assert len(set(progress)) == len(progress), r.stderr
             assert last.startswith("error:")
+
+    def test_ctrl_c_ends_the_workers_at_once(self, tmp_path):
+        # a Ctrl-C signals the whole foreground process group, and the run
+        # must end without waiting for the chunks that are running
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kgqv.cli", "run", "--experiment", "estimator_consistency",
+             "--reps", "2000", "--jobs", "2", "--out", str(tmp_path)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            time.sleep(3.0)  # the workers march the first chunks by now
+            sent = time.perf_counter()
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert time.perf_counter() - sent < 5.0
+        assert proc.returncode != 0
+        # the workers ignore SIGINT: one traceback, the main process's
+        assert err.count("KeyboardInterrupt") == 1, err
+        with pytest.raises(ProcessLookupError):  # no worker is left in the group
+            os.killpg(proc.pid, 0)
 
     @pytest.mark.parametrize(
         "args, ns",
@@ -660,6 +690,15 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 class TestStartup:
+    def test_import_loads_no_worker_pool(self):
+        # the pool's modules load only when a run forks workers, and stay
+        # out of every run's start-up time
+        code = ("import sys, kgqv.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
     @pytest.mark.parametrize(
         "args",
         [["oracle_check", "--reps", "1"], ["kernel_lemma", "--n", "64"]],

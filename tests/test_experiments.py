@@ -3,11 +3,12 @@ report serialization.  Statistical verdicts live in test_acceptance."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 from kgqv import _kernels, cli, experiments, solver
 from kgqv.coords import RotatedGrid
-from kgqv.errors import NumericError, UsageError
+from kgqv.errors import KgqvError, NumericError, UsageError
 from kgqv.experiments import ExperimentConfig, ExperimentReport
 
 from test_noise import (
@@ -154,23 +155,26 @@ class TestConfigValidation:
 class TestSeedRows:
     TOTALS = (1, 2, 199, 200, 256, 257, 600, 3 * experiments._CHUNK + 17)
 
-    def test_chunking_and_jobs_do_not_change_rows(self):
+    def test_chunking_and_jobs_do_not_change_rows(self, tmp_path):
         def rows(seeds):
             return np.column_stack([seeds.astype(float), np.sqrt(seeds + 0.5)])
 
         for total in self.TOTALS:
             serial = rows(5 + np.arange(total, dtype=np.uint64))
             for jobs in (1, 2, 3):
-                calls = []
+                calls = tmp_path / f"{total}-{jobs}"
+                calls.mkdir()
 
                 def worker(seeds):
-                    calls.append(len(seeds))
+                    # one file per chunk: the chunks may run in other processes
+                    (calls / str(seeds[0])).write_text(str(len(seeds)))
                     return rows(seeds)
 
                 out = experiments._seed_rows(worker, 5, total, jobs)
                 assert out.tobytes() == serial.tobytes(), (total, jobs)
                 plan = experiments._chunk_sizes(total, jobs)
-                assert sorted(calls) == sorted(plan), (total, jobs)
+                sizes = [int(f.read_text()) for f in calls.iterdir()]
+                assert sorted(sizes) == sorted(plan), (total, jobs)
 
     def test_rows_are_seed_ordered(self):
         def worker(seeds):
@@ -209,15 +213,14 @@ class TestSeedRows:
         assert out.shape == (0, 2)
         assert calls == [0]
 
-    def test_a_failed_chunk_starts_no_other(self):
-        # with no stop, the thread whose chunk raised picks up chunk 2
+    def test_a_failed_chunk_starts_no_other(self, tmp_path):
+        # with no stop, the worker whose chunk raised picks up chunk 2
         total = 4 * experiments._CHUNK
         assert len(experiments._chunk_sizes(total, 2)) == 4
-        calls = []
-        raised = threading.Event()
+        raised = multiprocessing.get_context("fork").Event()
 
         def worker(seeds):
-            calls.append(int(seeds[0]))
+            (tmp_path / str(seeds[0])).touch()  # chunks started, in any process
             if seeds[0] == 0:
                 raised.set()
                 raise NumericError("chunk 0 failed")
@@ -227,25 +230,61 @@ class TestSeedRows:
 
         with pytest.raises(NumericError, match="chunk 0 failed"):
             experiments._seed_rows(worker, 0, total, jobs=2)
-        assert len(calls) <= 2, calls
+        started = sorted(int(f.name) for f in tmp_path.iterdir())
+        assert started[0] == 0 and len(started) <= 2, started
 
     def test_two_jobs_split_the_default_estimator_reps(self):
         # estimator_consistency's 200 default reps fit in one chunk, and
-        # still give both threads half of them
+        # still give both workers half of them
         assert experiments._chunk_sizes(200, 2) == [100, 100]
 
-    def test_threads_share_the_chunks(self):
-        seen = set()
-        barrier = threading.Barrier(2, timeout=10)
+    def test_workers_share_the_chunks(self):
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
 
         def worker(seeds):
-            seen.add(threading.get_ident())
-            barrier.wait()  # each of the two chunks needs its own thread
-            return seeds.astype(float)[:, None]
+            barrier.wait()  # each of the two chunks needs its own worker
+            return np.full((len(seeds), 1), os.getpid())
 
         out = experiments._seed_rows(worker, 0, 200, jobs=2)
         assert out.shape == (200, 1)
-        assert len(seen) == 2
+        pids = set(out.ravel().tolist())
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("fail", ["none", "numeric", "memory", "killed"])
+    def test_no_worker_outlives_the_rows(self, fail):
+        def worker(seeds):
+            if seeds[0] == 200:  # the second of two chunks
+                if fail == "numeric":
+                    raise NumericError("chunk 1 failed")
+                if fail == "memory":
+                    np.empty(2**62, dtype=np.uint8)  # numpy's _ArrayMemoryError
+                if fail == "killed":  # as the kernel's OOM killer would
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return seeds.astype(float)[:, None]
+
+        raises = {"none": None, "numeric": NumericError, "memory": MemoryError,
+                  "killed": KgqvError}[fail]
+        if raises is None:
+            assert experiments._seed_rows(worker, 0, 400, jobs=2).shape == (400, 1)
+        else:
+            with pytest.raises(raises) as info:
+                experiments._seed_rows(worker, 0, 400, jobs=2)
+            if fail == "memory":
+                # the message the CLI prints on exit 3 survives the trip back
+                assert str(info.value).startswith("Unable to allocate")
+            if fail == "killed":
+                assert "exit code -9" in str(info.value)
+        assert multiprocessing.active_children() == []
+        assert experiments._FORKED is None
+
+    def test_serial_where_the_platform_cannot_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+        def worker(seeds):
+            return np.full((len(seeds), 1), os.getpid())
+
+        out = experiments._seed_rows(worker, 0, 200, jobs=2)
+        assert out.ravel().tolist() == [os.getpid()] * 200
 
     def test_seed_span_may_end_at_two_to_the_64(self):
         def worker(seeds):
